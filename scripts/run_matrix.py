@@ -4,7 +4,7 @@
 Usage:
     python scripts/run_matrix.py                 # all configurations
     python scripts/run_matrix.py --only S3       # substring filter
-    python scripts/run_matrix.py --threads 4 --cache-dir .cache
+    python scripts/run_matrix.py --cache-dir .cache
 """
 
 import argparse
@@ -33,7 +33,6 @@ CONFIGS = [
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--only", default="", help="run configurations whose label contains this")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--cache-dir", default=None)
     ap.add_argument("--check-determinism", action="store_true",
                     help="run everything twice and compare payloads")
@@ -51,9 +50,7 @@ def main() -> None:
             continue
         body = dict(doc, format_version=1)
         spec = parse_job(json.dumps(body))
-        spec = dataclasses.replace(
-            spec, threads=args.threads, cache_dir=args.cache_dir
-        )
+        spec = dataclasses.replace(spec, cache_dir=args.cache_dir)
         started = time.monotonic()
         report = run_job(spec)
         elapsed = time.monotonic() - started

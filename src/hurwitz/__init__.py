@@ -97,7 +97,6 @@ from .covers import (
     cycle_type_multiset,
     fiber_genus,
     natural_model,
-    ramification_detail,
     ramification_profile,
     regular_model,
     universal_fiber_report,

@@ -3,21 +3,22 @@
 Each entry is one file named ``<key>.<kind>.bin`` holding a small JSON
 header plus a flat integer payload, followed by a SHA-256 digest of
 everything before it.  Corrupt entries (bad magic, bad digest, bad
-header) are discarded and recomputed with a warning rather than trusted.
+header, or data the caller's decoder rejects) are discarded and
+recomputed with a warning rather than trusted.
 
-Concurrent invocations are tolerated via advisory whole-file locks
-(shared for reads, exclusive for writes) and atomic replace on write.
+A store writes a temporary file, syncs it and renames it over the entry,
+so concurrent readers see either the old or the new complete file.
 """
 
 from __future__ import annotations
 
-import fcntl
 import hashlib
 import json
 import os
 import struct
 import warnings
 from array import array
+from collections.abc import Callable
 from pathlib import Path
 
 _MAGIC = b"HWZCACH1"
@@ -62,17 +63,19 @@ class ResultCache:
         assert self.directory is not None
         return self.directory / f"{key}.{kind}.bin"
 
-    def load(self, key: str, kind: str) -> tuple[dict, list[int]] | None:
+    def load(self, key: str, kind: str,
+             decode: Callable[[dict, list[int]], object] | None = None):
+        """The entry's (meta, data), or ``decode(meta, data)`` if given.
+
+        Returns None on a miss.  An entry that fails its digest or header
+        check, or whose ``decode`` raises ValueError, is reported with a
+        CacheCorrupt warning, deleted and counted as a miss.
+        """
         if not self.enabled:
             return None
         path = self._path(key, kind)
         try:
-            with open(path, "rb") as fh:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
-                try:
-                    blob = fh.read()
-                finally:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+            blob = path.read_bytes()
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -80,7 +83,9 @@ class ResultCache:
             header, data = _decode(blob)
             if header.get("key") != key or header.get("kind") != kind:
                 raise ValueError("header does not match the requested entry")
-        except (ValueError, json.JSONDecodeError) as exc:
+            meta = header.get("meta", {})
+            value = (meta, data) if decode is None else decode(meta, data)
+        except ValueError as exc:
             warnings.warn(
                 f"discarding corrupt cache entry {path.name}: {exc}", CacheCorrupt
             )
@@ -91,7 +96,7 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        return header.get("meta", {}), data
+        return value
 
     def store(self, key: str, kind: str, meta: dict, data: list[int]) -> None:
         if not self.enabled:
@@ -101,14 +106,8 @@ class ResultCache:
         path = self._path(key, kind)
         blob = _encode({"key": key, "kind": kind, "meta": meta}, data)
         tmp = path.with_suffix(".tmp." + str(os.getpid()))
-        lock_path = path.with_suffix(".lock")
-        with open(lock_path, "w") as lock_fh:
-            fcntl.flock(lock_fh.fileno(), fcntl.LOCK_EX)
-            try:
-                with open(tmp, "wb") as fh:
-                    fh.write(blob)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            finally:
-                fcntl.flock(lock_fh.fileno(), fcntl.LOCK_UN)
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)

@@ -10,7 +10,8 @@ Two levels of identification:
     centralizer of G in the symmetric group is trivial.
 
 Canonical class representatives are orbit minima in the global total
-order, computed by full orbit expansion.
+order.  ``classify_space`` finds every class of a space with one sweep
+over its sorted tuples, expanding one orbit per class.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class PointedClass:
 
     canonical: HurwitzTuple
     marked_point: int
-    stabilizer_checked: bool = field(default=False, compare=False)
 
     def __lt__(self, other: "PointedClass") -> bool:
         return self.canonical.entries() < other.canonical.entries()
@@ -94,7 +94,7 @@ def pointed_class(t: HurwitzTuple, G: PermGroup,
         raise FreeActionViolated(
             f"orbit of size {len(orbit)} under N(lam0) of order {N.order}"
         )
-    return PointedClass(min(orbit), marked_point, stabilizer_checked=True)
+    return PointedClass(min(orbit), marked_point)
 
 
 def are_pointed_equivalent(t1: HurwitzTuple, t2: HurwitzTuple,
@@ -223,7 +223,11 @@ class SpaceCensus:
 
 @dataclass(frozen=True)
 class SpaceClassification:
-    """Everything the census and the reports need about one space."""
+    """Everything the census and the reports need about one space.
+
+    ``pointed_index`` and ``unpointed_index`` map every tuple to the
+    position of its class in ``pointed`` and ``unpointed``.
+    """
 
     group: PermGroup
     base_genus: int
@@ -232,6 +236,8 @@ class SpaceClassification:
     tuples: tuple[HurwitzTuple, ...]
     pointed: tuple[PointedClass, ...]
     unpointed: tuple[UnpointedClass, ...]
+    pointed_index: dict[HurwitzTuple, int] = field(compare=False, repr=False)
+    unpointed_index: dict[HurwitzTuple, int] = field(compare=False, repr=False)
 
     @property
     def census(self) -> SpaceCensus:
@@ -256,6 +262,32 @@ class SpaceClassification:
         )
 
 
+def _sweep(tuples, conjugators) -> tuple[list[tuple[HurwitzTuple, int]],
+                                         dict[HurwitzTuple, int]]:
+    """The conjugation orbits met by a tuple list, one expansion per orbit.
+
+    Returns (orbit minimum, orbit size) per orbit, sorted by minimum, and
+    the position in that list of every tuple's orbit.  The minimum is
+    taken over the whole orbit, which a twisted type filter can carry
+    outside the list.
+    """
+    index = dict.fromkeys(tuples, -1)
+    found: list[tuple[HurwitzTuple, int]] = []
+    for t in tuples:
+        if index[t] >= 0:
+            continue
+        orbit = _orbit(t, conjugators)
+        for member in orbit:
+            if member in index:
+                index[member] = len(found)
+        found.append((min(orbit), len(orbit)))
+    order = sorted(range(len(found)), key=lambda k: found[k][0])
+    rank = [0] * len(found)
+    for r, k in enumerate(order):
+        rank[k] = r
+    return [found[k] for k in order], {t: rank[k] for t, k in index.items()}
+
+
 def classify_space(
     G: PermGroup,
     base_genus: int,
@@ -263,13 +295,14 @@ def classify_space(
     type_filter: BranchingType | None = None,
     *,
     work_cap: int | None = None,
-    threads: int = 1,
     tuples: tuple[HurwitzTuple, ...] | None = None,
 ) -> SpaceClassification:
     """Enumerate a space and classify it at both quotient levels.
 
-    ``tuples`` short-circuits the enumeration (used by the cache layer).
-    The fiber identity  #tuples = #pointed * |Stab_N(lam0)(type)|  is
+    ``tuples`` short-circuits the enumeration (used by the cache layer);
+    like the output of ``enumerate_tuples`` it must be sorted.  Each
+    pointed orbit must have |N(lam0)| members (the action is free).  The
+    fiber identity  #tuples = #pointed * |Stab_N(lam0)(type)|  is
     enforced: conjugation twists a branching type classwise, so the
     stabilizer of the type filter (all of N(lam0) when there is no
     filter, or when the filter is conjugation-stable) is what acts freely
@@ -285,13 +318,19 @@ def classify_space(
                 branch_count,
                 type_filter,
                 work_cap=DEFAULT_WORK_CAP if work_cap is None else work_cap,
-                threads=threads,
             )
         )
-    pointed = tuple(sorted({pointed_class(t, G) for t in tuples}))
-    unpointed = tuple(sorted({unpointed_class(t, G) for t in tuples}))
-
     N = normalizer_fixing_point(G)
+    pointed_orbits, pointed_index = _sweep(tuples, N)
+    for _, size in pointed_orbits:
+        if size != N.order:
+            raise FreeActionViolated(
+                f"orbit of size {size} under N(lam0) of order {N.order}"
+            )
+    unpointed_orbits, unpointed_index = _sweep(tuples, normalizer_in_sym(G))
+    pointed = tuple(PointedClass(c, G.marked_point) for c, _ in pointed_orbits)
+    unpointed = tuple(UnpointedClass(c, size) for c, size in unpointed_orbits)
+
     if type_filter is None:
         stab_order = N.order
     else:
@@ -304,7 +343,8 @@ def classify_space(
             f"with type-stabilizer order {stab_order}"
         )
     return SpaceClassification(
-        G, base_genus, branch_count, type_filter, tuples, pointed, unpointed
+        G, base_genus, branch_count, type_filter, tuples, pointed, unpointed,
+        pointed_index, unpointed_index,
     )
 
 
@@ -315,7 +355,6 @@ def count_space(
     type_filter: BranchingType | None = None,
     *,
     work_cap: int | None = None,
-    threads: int = 1,
 ) -> SpaceCensus:
     """Census of one space: totals and the per-branching-type breakdown."""
     return classify_space(
@@ -324,5 +363,4 @@ def count_space(
         branch_count,
         type_filter,
         work_cap=work_cap,
-        threads=threads,
     ).census

@@ -35,7 +35,7 @@ def _fail(message: str, code: int) -> None:
     sys.exit(code)
 
 
-def _load_spec(path: str, cache_dir: str | None, threads: int,
+def _load_spec(path: str, cache_dir: str | None,
                no_cache: bool, requested: str) -> JobSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -48,7 +48,6 @@ def _load_spec(path: str, cache_dir: str | None, threads: int,
         requested=requested,
         cache_dir=cache_dir,
         use_cache=not no_cache,
-        threads=threads,
     )
 
 
@@ -61,9 +60,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _run_and_emit(path: str, requested: str, cache_dir: str | None,
-                  threads: int, no_cache: bool, output: str | None) -> None:
+                  no_cache: bool, output: str | None) -> None:
     try:
-        spec = _load_spec(path, cache_dir, threads, no_cache, requested)
+        spec = _load_spec(path, cache_dir, no_cache, requested)
         doc = run_job(spec)
     except InputError as exc:
         _fail(str(exc), EXIT_SCHEMA)
@@ -78,8 +77,6 @@ def _run_and_emit(path: str, requested: str, cache_dir: str | None,
 def common_options(fn):
     fn = click.option("--cache-dir", type=click.Path(file_okay=False),
                       default=None, help="Directory for the result cache.")(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True,
-                      help="Worker threads for the enumeration.")(fn)
     fn = click.option("--no-cache", is_flag=True, default=False,
                       help="Do not read or write the cache.")(fn)
     fn = click.option("--output", type=click.Path(dir_okay=False), default=None,
@@ -96,34 +93,34 @@ def main() -> None:
 @main.command()
 @common_options
 @click.argument("spec_json", type=click.Path(dir_okay=False))
-def census(spec_json, cache_dir, threads, no_cache, output):
+def census(spec_json, cache_dir, no_cache, output):
     """Count tuples, pointed classes and unpointed classes."""
-    _run_and_emit(spec_json, "census", cache_dir, threads, no_cache, output)
+    _run_and_emit(spec_json, "census", cache_dir, no_cache, output)
 
 
 @main.command()
 @common_options
 @click.argument("spec_json", type=click.Path(dir_okay=False))
-def components(spec_json, cache_dir, threads, no_cache, output):
+def components(spec_json, cache_dir, no_cache, output):
     """Orbit partition of the space under the elementary moves."""
-    _run_and_emit(spec_json, "components", cache_dir, threads, no_cache, output)
+    _run_and_emit(spec_json, "components", cache_dir, no_cache, output)
 
 
 @main.command()
 @common_options
 @click.argument("spec_json", type=click.Path(dir_okay=False))
-def fibers(spec_json, cache_dir, threads, no_cache, output):
+def fibers(spec_json, cache_dir, no_cache, output):
     """Ramification profiles and genera for every pointed class."""
-    _run_and_emit(spec_json, "fibers", cache_dir, threads, no_cache, output)
+    _run_and_emit(spec_json, "fibers", cache_dir, no_cache, output)
 
 
 @main.command()
 @common_options
 @click.argument("spec_json", type=click.Path(dir_okay=False))
-def validate(spec_json, cache_dir, threads, no_cache, output):
+def validate(spec_json, cache_dir, no_cache, output):
     """Validate a job document without running it."""
     try:
-        spec = _load_spec(spec_json, cache_dir, threads, no_cache, "validate")
+        spec = _load_spec(spec_json, cache_dir, no_cache, "validate")
     except InputError as exc:
         _fail(str(exc), EXIT_SCHEMA)
     except CapExceeded as exc:
@@ -164,10 +161,10 @@ def split_tuple_argument(text: str) -> list[str]:
               help="Full tuple as comma-separated cycle expressions "
                    "(handles first, then branches). Give exactly twice.")
 @click.argument("spec_json", type=click.Path(dir_okay=False))
-def classify(spec_json, cache_dir, threads, no_cache, output, tuples_raw):
+def classify(spec_json, cache_dir, no_cache, output, tuples_raw):
     """Decide pointed and unpointed equivalence of two tuples."""
     try:
-        spec = _load_spec(spec_json, cache_dir, threads, no_cache, "classify")
+        spec = _load_spec(spec_json, cache_dir, no_cache, "classify")
         if len(tuples_raw) != 2:
             raise SchemaError("classify needs exactly two --tuple arguments")
         group, _ = build_group(spec)

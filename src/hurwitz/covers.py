@@ -27,7 +27,7 @@ from .errors import (
     NotASubgroup,
     ParityViolation,
 )
-from .perms import Perm, PermGroup, compose, cycle_type, cyclic_orbits, perm_order
+from .perms import Perm, PermGroup, compose, cycle_type, cyclic_orbits
 from .tuples import HurwitzTuple
 from .classify import PointedClass, nu_fiber
 
@@ -185,24 +185,6 @@ def ramification_profile(t: HurwitzTuple) -> tuple[tuple[int, ...], ...]:
         tuple(sorted((len(c) for c in cyclic_orbits(g)), reverse=True))
         for g in t.branches
     )
-
-
-def ramification_detail(t: HurwitzTuple, G: PermGroup) -> tuple[tuple[dict, ...], ...]:
-    """Debug view per branch point: one record per ramification point.
-
-    ``index`` is the orbit length k; ``q`` = ord(g_j) / k is the order of
-    the stabilizer of a preimage in the cyclic local group (downstream
-    results never need it, so it lives only here).
-    """
-    out = []
-    for g in t.branches:
-        e = perm_order(g)
-        recs = tuple(
-            {"orbit": c, "index": len(c), "q": e // len(c)}
-            for c in cyclic_orbits(g)
-        )
-        out.append(recs)
-    return tuple(out)
 
 
 def _genus_from_action(branch_actions, domain_size: int, base_genus: int) -> int:

@@ -8,8 +8,8 @@ A job is a single JSON document:
 
 ``marked_point`` defaults to 1 (1-based); ``branching_type`` and ``caps``
 are optional.  A run produces one report document whose payload is
-byte-identical across runs and thread counts; only the ``meta`` section
-(timing, cache statistics) may vary.
+byte-identical across runs and between cold and warm cache; only the
+``meta`` section (timing, work and cache statistics) may vary.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import __version__
 from .cache import ResultCache
@@ -65,7 +66,6 @@ class JobSpec:
     requested: str = "reports"
     cache_dir: str | None = None
     use_cache: bool = True
-    threads: int = 1
 
 
 _TOP_KEYS = {
@@ -246,19 +246,38 @@ def _tuples_to_ints(tuples: list[HurwitzTuple] | tuple[HurwitzTuple, ...]) -> li
     return flat
 
 
-def _tuples_from_ints(data: list[int], degree: int, base_genus: int,
-                      branch_points: int) -> list[HurwitzTuple]:
+def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
+                      meta: dict, data: list[int]) -> tuple[HurwitzTuple, ...]:
+    """Decode a cached tuples entry, checking that it could be the space.
+
+    Raises ValueError unless there are ``meta["count"]`` rows in strictly
+    increasing order, every entry lies in the group, no branch entry is
+    the identity and every row satisfies the relation.
+    """
+    degree = group.degree
     width = (2 * base_genus + branch_points) * degree
-    if width == 0 or len(data) % width != 0:
+    if len(data) % width != 0:
         raise ValueError("cached payload has the wrong shape")
+    if len(data) // width != meta.get("count"):
+        raise ValueError(f"{len(data) // width} rows, header says {meta.get('count')}")
+    ident = identity(degree)
     out = []
+    prev: list[int] = []
     for off in range(0, len(data), width):
         row = data[off:off + width]
-        entries = [
-            tuple(row[k:k + degree]) for k in range(0, width, degree)
-        ]
-        out.append(tuple_from_entries(degree, base_genus, entries))
-    return out
+        if row <= prev:
+            raise ValueError("rows are not strictly increasing")
+        prev = row
+        entries = [tuple(row[k:k + degree]) for k in range(0, width, degree)]
+        if not all(e in group for e in entries):
+            raise ValueError("an entry lies outside the group")
+        t = tuple_from_entries(degree, base_genus, entries)
+        if ident in t.branches:
+            raise ValueError("a branch entry is the identity")
+        if t.total_product() != ident:
+            raise ValueError("a row violates the relation")
+        out.append(t)
+    return tuple(out)
 
 
 def run_job(spec: JobSpec) -> dict:
@@ -273,16 +292,8 @@ def run_job(spec: JobSpec) -> dict:
     key = cache_key(spec)
     stats: dict = {}
 
-    tuples = None
-    loaded = cache.load(key, "tuples")
-    if loaded is not None:
-        meta, data = loaded
-        try:
-            tuples = tuple(
-                _tuples_from_ints(data, spec.degree, spec.base_genus, spec.branch_points)
-            )
-        except ValueError:
-            tuples = None
+    tuples = cache.load(key, "tuples", partial(
+        _tuples_from_ints, group, spec.base_genus, spec.branch_points))
     if tuples is None:
         tuples = tuple(
             enumerate_tuples(
@@ -291,7 +302,6 @@ def run_job(spec: JobSpec) -> dict:
                 spec.branch_points,
                 type_filter,
                 work_cap=spec.caps.work,
-                threads=spec.threads,
                 stats=stats,
             )
         )
@@ -306,7 +316,7 @@ def run_job(spec: JobSpec) -> dict:
         group, spec.base_genus, spec.branch_points, type_filter, tuples=tuples
     )
 
-    def compute_components(level: str) -> ComponentPartition:
+    def compute_components(level: str, part: ComponentPartition | None) -> ComponentPartition:
         return components(
             group,
             spec.base_genus,
@@ -315,19 +325,17 @@ def run_job(spec: JobSpec) -> dict:
             level=level,  # type: ignore[arg-type]
             orbit_cap=spec.caps.orbit,
             classification=cls,
+            tuple_partition=part,
         )
 
-    part_tuples = None
-    loaded = cache.load(key, "components")
-    if loaded is not None:
-        part_tuples = _partition_from_assignment(cls, loaded[1])
+    part_tuples = cache.load(key, "components", partial(_partition_from_assignment, cls))
     if part_tuples is None:
-        part_tuples = compute_components("tuples")
+        part_tuples = compute_components("tuples", None)
         _store_partition(cache, key, cls, part_tuples)
     parts = {
         "tuples": part_tuples,
-        "pointed": compute_components("pointed"),
-        "unpointed": compute_components("unpointed"),
+        "pointed": compute_components("pointed", part_tuples),
+        "unpointed": compute_components("unpointed", part_tuples),
     }
 
     census = cls.census
@@ -371,7 +379,6 @@ def run_job(spec: JobSpec) -> dict:
         "meta": {
             "version": __version__,
             "elapsed_s": round(time.perf_counter() - t_start, 6),
-            "threads": spec.threads,
             "work_nodes": stats.get("nodes"),
             "cache": {"hits": cache.hits, "misses": cache.misses},
         },
@@ -381,35 +388,35 @@ def run_job(spec: JobSpec) -> dict:
 
 def _store_partition(cache: ResultCache, key: str, cls: SpaceClassification,
                      part: ComponentPartition) -> None:
-    index_of = {t: i for i, t in enumerate(cls.tuples)}
-    assignment = [0] * len(cls.tuples)
-    for orbit_id, orbit in enumerate(part.orbits):
-        for t in orbit:
-            assignment[index_of[t]] = orbit_id
+    orbit_of = {t: k for k, orbit in enumerate(part.orbits) for t in orbit}
+    assignment = [orbit_of[t] for t in cls.tuples]
     cache.store(key, "components", {"orbits": len(part.orbits)}, assignment)
 
 
-def _partition_from_assignment(cls: SpaceClassification,
-                               assignment: list[int]) -> ComponentPartition | None:
-    """Rebuild the tuple-level partition from a cached assignment array."""
+def _partition_from_assignment(cls: SpaceClassification, meta: dict,
+                               assignment: list[int]) -> ComponentPartition:
+    """Rebuild the tuple-level partition from a cached assignment array.
+
+    Raises ValueError unless there is one orbit id per tuple, the ids
+    first appear in the order 0, 1, 2, ... and there are ``meta["orbits"]``
+    of them.
+    """
     if len(assignment) != len(cls.tuples):
-        return None
-    buckets: dict[int, list[HurwitzTuple]] = {}
+        raise ValueError("the assignment does not have one orbit id per tuple")
+    orbits: list[list[HurwitzTuple]] = []
     for t, orbit_id in zip(cls.tuples, assignment):
-        buckets.setdefault(orbit_id, []).append(t)
-    if not buckets:
-        orbits: tuple = ()
-    elif set(buckets) != set(range(len(buckets))):
-        return None
-    else:
-        orbits = tuple(
-            tuple(sorted(buckets[i])) for i in range(len(buckets))
-        )
+        if orbit_id == len(orbits):
+            orbits.append([])
+        elif not 0 <= orbit_id < len(orbits):
+            raise ValueError("orbit ids do not first appear in the order 0, 1, 2, ...")
+        orbits[orbit_id].append(t)
+    if len(orbits) != meta.get("orbits"):
+        raise ValueError(f"{len(orbits)} orbits, header says {meta.get('orbits')}")
     return ComponentPartition(
         level="tuples",
         exact=cls.base_genus == 0,
         orbit_sizes=tuple(len(o) for o in orbits),
-        orbits=orbits,
+        orbits=tuple(tuple(o) for o in orbits),
     )
 
 

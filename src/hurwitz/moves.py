@@ -18,17 +18,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 from .errors import IndexOutOfRange, InternalInvariantViolation, OrbitCapExceeded
 from .perms import PermGroup, compose, inverse
 from .tuples import BranchingType, HurwitzTuple
-from .classify import (
-    SpaceClassification,
-    classify_space,
-    pointed_class,
-    unpointed_class,
-)
+from .classify import SpaceClassification, classify_space
 
 DEFAULT_ORBIT_CAP = 10**7
 
@@ -97,30 +92,64 @@ class ComponentPartition:
     orbits: tuple[tuple[HurwitzTuple, ...], ...]
 
 
-def _partition(nodes, neighbors: Callable, orbit_cap: int):
-    pool = set(nodes)
-    parts: list[tuple] = []
+def _move_orbits(tuples, branch_count: int, convention: Convention,
+                 orbit_cap: int) -> list[list[HurwitzTuple]]:
+    """Move orbits of a sorted tuple list, each sorted, ordered by minimum.
+
+    Seeds are taken in list order, so each seed is the minimum of its
+    orbit.  ``orbit_cap`` bounds the tuples reached from all seeds.
+    """
+    orbit_of = dict.fromkeys(tuples, -1)
+    count = 0
     visited_total = 0
-    while pool:
-        seed = min(pool)
-        seen = {seed}
+    for seed in tuples:
+        if orbit_of[seed] >= 0:
+            continue
+        orbit_of[seed] = count
         frontier = deque([seed])
         while frontier:
             cur = frontier.popleft()
-            for nxt in neighbors(cur):
-                if nxt not in seen:
-                    visited_total += 1
-                    if visited_total > orbit_cap:
-                        raise OrbitCapExceeded(f"orbit closure exceeds cap {orbit_cap}")
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if not seen <= pool:
-            # moves must not leave the enumerated space
-            raise InternalInvariantViolation("orbit escaped the enumerated space")
-        pool -= seen
-        parts.append(tuple(sorted(seen)))
-    parts.sort(key=lambda p: p[0])
-    return parts
+            for i in range(1, branch_count):
+                for inv in (False, True):
+                    nxt = hurwitz_move(cur, i, inverse_move=inv, convention=convention)
+                    label = orbit_of.get(nxt)
+                    if label == -1:
+                        visited_total += 1
+                        if visited_total > orbit_cap:
+                            raise OrbitCapExceeded(f"orbit closure exceeds cap {orbit_cap}")
+                        orbit_of[nxt] = count
+                        frontier.append(nxt)
+                    elif label != count:
+                        # moves must not leave the enumerated space
+                        raise InternalInvariantViolation("orbit escaped the enumerated space")
+        count += 1
+    orbits: list[list[HurwitzTuple]] = [[] for _ in range(count)]
+    for t in tuples:
+        orbits[orbit_of[t]].append(t)
+    return orbits
+
+
+def _class_orbits(tuple_orbits, index: dict[HurwitzTuple, int],
+                  classes) -> list[tuple[HurwitzTuple, ...]]:
+    """Move orbits of the classes: the images of the tuple orbits.
+
+    Moves commute with conjugation, so two tuple orbits have equal or
+    disjoint class images.  Orbits hold canonical representatives and are
+    ordered by minimum, like the tuple level.
+    """
+    label = [-1] * len(classes)
+    parts: list[list[int]] = []
+    for orbit in tuple_orbits:
+        image = sorted({index[t] for t in orbit})
+        k = label[image[0]]
+        if k < 0 and all(label[c] < 0 for c in image):
+            for c in image:
+                label[c] = len(parts)
+            parts.append(image)
+        elif k < 0 or parts[k] != image:
+            raise InternalInvariantViolation("class images of two move orbits overlap")
+    parts.sort()
+    return [tuple(classes[c].canonical for c in part) for part in parts]
 
 
 def components(
@@ -133,58 +162,36 @@ def components(
     convention: Convention = "standard",
     orbit_cap: int = DEFAULT_ORBIT_CAP,
     work_cap: int | None = None,
-    threads: int = 1,
     classification: SpaceClassification | None = None,
+    tuple_partition: ComponentPartition | None = None,
 ) -> ComponentPartition:
     """Orbit partition of a whole space at the requested quotient level.
 
-    Moves commute with conjugation, so they act on pointed and unpointed
-    classes; at those levels the BFS runs directly on canonical
-    representatives (apply a move, re-canonicalize).
+    The BFS runs on tuples only; ``tuple_partition`` supplies its result
+    precomputed.  Moves commute with conjugation, so the pointed and
+    unpointed partitions are the images of the tuple orbits under the
+    class maps of ``classification``.
     """
+    if level not in ("tuples", "pointed", "unpointed"):
+        raise ValueError(f"unknown level {level!r}")
+    if tuple_partition is not None and tuple_partition.level != "tuples":
+        raise ValueError("tuple_partition must be a tuple-level partition")
     if classification is None:
         classification = classify_space(
-            G, base_genus, branch_count, type_filter,
-            work_cap=work_cap, threads=threads,
+            G, base_genus, branch_count, type_filter, work_cap=work_cap,
         )
     cls = classification
-    n = branch_count
-    all_moves = [(i, inv) for i in range(1, n) for inv in (False, True)]
-
-    def step(t: HurwitzTuple, i: int, inv: bool) -> HurwitzTuple:
-        return hurwitz_move(t, i, inverse_move=inv, convention=convention)
-
-    if level == "tuples":
-        nodes = cls.tuples
-
-        def neighbors(t: HurwitzTuple):
-            return (step(t, i, inv) for i, inv in all_moves)
-
-    elif level == "pointed":
-        nodes = tuple(c.canonical for c in cls.pointed)
-
-        def neighbors(t: HurwitzTuple):
-            return (
-                pointed_class(step(t, i, inv), G).canonical
-                for i, inv in all_moves
-            )
-
-    elif level == "unpointed":
-        nodes = tuple(u.canonical for u in cls.unpointed)
-
-        def neighbors(t: HurwitzTuple):
-            return (
-                unpointed_class(step(t, i, inv), G).canonical
-                for i, inv in all_moves
-            )
-
+    if tuple_partition is None:
+        orbits = _move_orbits(cls.tuples, branch_count, convention, orbit_cap)
     else:
-        raise ValueError(f"unknown level {level!r}")
-
-    parts = _partition(nodes, neighbors, orbit_cap)
+        orbits = tuple_partition.orbits
+    if level == "pointed":
+        orbits = _class_orbits(orbits, cls.pointed_index, cls.pointed)
+    elif level == "unpointed":
+        orbits = _class_orbits(orbits, cls.unpointed_index, cls.unpointed)
     return ComponentPartition(
         level=level,
         exact=base_genus == 0,
-        orbit_sizes=tuple(len(p) for p in parts),
-        orbits=tuple(parts),
+        orbit_sizes=tuple(len(p) for p in orbits),
+        orbits=tuple(tuple(p) for p in orbits),
     )

@@ -13,7 +13,6 @@ the n branch points.  It is a valid point of the space when
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DegreeMismatch, WorkCapExceeded
@@ -56,9 +55,6 @@ class HurwitzTuple:
             flat.append(b)
         flat.extend(self.branches)
         return tuple(flat)
-
-    def sort_key(self) -> tuple[Perm, ...]:
-        return self.entries()
 
     def __lt__(self, other: "HurwitzTuple") -> bool:
         return self.entries() < other.entries()
@@ -166,15 +162,6 @@ def conjugate_branching_type(bt: BranchingType, s: Perm, G: PermGroup) -> Branch
     )
 
 
-class _Budget:
-    """Shared mutable node counter for one enumeration call."""
-
-    __slots__ = ("nodes",)
-
-    def __init__(self) -> None:
-        self.nodes = 0
-
-
 def enumerate_tuples(
     G: PermGroup,
     base_genus: int,
@@ -182,7 +169,6 @@ def enumerate_tuples(
     type_filter: BranchingType | None = None,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
-    threads: int = 1,
     stats: dict | None = None,
 ) -> list[HurwitzTuple]:
     """Every valid tuple exactly once, in lexicographic order.
@@ -190,10 +176,9 @@ def enumerate_tuples(
     The search assigns the 2g + n - 1 free entries depth first in sorted
     element order and solves the last branch entry from the relation, so
     the output order is the global total order.  The work cap counts
-    visited search-tree nodes (candidate entry assignments); the a-priori
-    bound |G|^(2g+n-1) is checked up front.  With ``threads`` > 1 the tree
-    is partitioned on the first free entry; the merged output and the cap
-    decision are identical to the single-threaded run.
+    visited search-tree nodes (candidate entry assignments) and is
+    checked at every visit; the a-priori bound |G|^(2g+n-1) is checked up
+    front.  ``stats["nodes"]`` receives the visited node count.
     """
     if branch_count < 1:
         raise ValueError("branch count must be at least 1")
@@ -218,89 +203,64 @@ def enumerate_tuples(
         # n = 1, g = 0: the single branch entry would have to be the identity.
         return []
 
-    def enumerate_subtree(first: Perm, budget: _Budget) -> list[HurwitzTuple]:
-        out: list[HurwitzTuple] = []
-        chosen: list[Perm] = [first]
-        used: dict[Perm, int] = {}
+    out: list[HurwitzTuple] = []
+    chosen: list[Perm] = []
+    used: dict[Perm, int] = {}
+    nodes = 0
 
-        def class_ok(g: Perm) -> bool:
-            if budget_need is None:
-                return True
+    def class_ok(g: Perm) -> bool:
+        if budget_need is None:
+            return True
+        rep = G.class_of(g)
+        return used.get(rep, 0) < budget_need.get(rep, 0)
+
+    def take(g: Perm) -> None:
+        if budget_need is not None:
             rep = G.class_of(g)
-            return used.get(rep, 0) < budget_need.get(rep, 0)
+            used[rep] = used.get(rep, 0) + 1
 
-        def take(g: Perm) -> None:
-            if budget_need is not None:
-                rep = G.class_of(g)
-                used[rep] = used.get(rep, 0) + 1
+    def drop(g: Perm) -> None:
+        if budget_need is not None:
+            rep = G.class_of(g)
+            used[rep] -= 1
 
-        def drop(g: Perm) -> None:
-            if budget_need is not None:
-                rep = G.class_of(g)
-                used[rep] -= 1
+    def close(run: Perm) -> None:
+        last = inverse(run)
+        if last == ident or not class_ok(last):
+            return
+        entries = tuple(chosen) + (last,)
+        closure = generate_group(entries, cap=G.order + 1)
+        if closure.elements != G.elements:
+            return
+        out.append(tuple_from_entries(G.degree, base_genus, entries))
 
-        def close(run: Perm) -> None:
-            last = inverse(run)
-            if last == ident or not class_ok(last):
-                return
-            entries = tuple(chosen) + (last,)
-            closure = generate_group(entries, cap=G.order + 1)
-            if closure.elements != G.elements:
-                return
-            out.append(tuple_from_entries(G.degree, base_genus, entries))
+    def walk(depth: int, run: Perm) -> None:
+        # ``depth`` counts fully assigned free slots; ``run`` is the
+        # relation product of everything committed so far.
+        nonlocal nodes
+        if depth == free:
+            close(run)
+            return
+        is_branch = depth >= 2 * base_genus
+        pending_handle = depth % 2 == 1 and not is_branch
+        for g in G.elements:
+            if is_branch and (g == ident or not class_ok(g)):
+                continue
+            nodes += 1
+            if nodes > work_cap:
+                raise WorkCapExceeded(f"visited nodes exceed work cap {work_cap}")
+            chosen.append(g)
+            if is_branch:
+                take(g)
+                walk(depth + 1, compose(run, g))
+                drop(g)
+            elif pending_handle:
+                walk(depth + 1, compose(run, commutator(chosen[-2], g)))
+            else:
+                walk(depth + 1, run)
+            chosen.pop()
 
-        def walk(depth: int, run: Perm) -> None:
-            # ``depth`` counts fully assigned free slots; ``run`` is the
-            # relation product of everything committed so far.
-            if depth == free:
-                close(run)
-                return
-            is_branch = depth >= 2 * base_genus
-            pending_handle = depth % 2 == 1 and not is_branch
-            for g in G.elements:
-                if is_branch and (g == ident or not class_ok(g)):
-                    continue
-                budget.nodes += 1
-                if budget.nodes > work_cap:
-                    raise WorkCapExceeded(f"visited nodes exceed work cap {work_cap}")
-                chosen.append(g)
-                if is_branch:
-                    take(g)
-                    walk(depth + 1, compose(run, g))
-                    drop(g)
-                elif pending_handle:
-                    walk(depth + 1, compose(run, commutator(chosen[-2], g)))
-                else:
-                    walk(depth + 1, run)
-                chosen.pop()
-
-        # commit the first entry (depth 0 -> 1) by hand
-        budget.nodes += 1
-        is_branch0 = 0 >= 2 * base_genus
-        if is_branch0:
-            if first == ident or not class_ok(first):
-                return out
-            take(first)
-            walk(1, first)
-        else:
-            walk(1, ident)
-        return out
-
-    if threads <= 1:
-        budget = _Budget()
-        results = [enumerate_subtree(first, budget) for first in G.elements]
-        total_nodes = budget.nodes
-    else:
-        budgets = [_Budget() for _ in G.elements]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(enumerate_subtree, G.elements, budgets))
-        total_nodes = sum(b.nodes for b in budgets)
-    if total_nodes > work_cap:
-        raise WorkCapExceeded(f"visited nodes {total_nodes} exceed work cap {work_cap}")
+    walk(0, ident)
     if stats is not None:
-        stats["nodes"] = total_nodes
-
-    merged: list[HurwitzTuple] = []
-    for part in results:
-        merged.extend(part)
-    return merged
+        stats["nodes"] = nodes
+    return out

@@ -166,6 +166,36 @@ def move_partition(tuples):
     return parts
 
 
+def class_move_partition(tuples, conjugators):
+    """Move-orbit partition of the conjugation classes of a tuple set.
+
+    A class is named by the minimum of its full conjugation orbit, which
+    need not lie in the set.  BFS runs on those names: a move applied to
+    a name is renamed to the minimum of its own orbit.
+    """
+    def name(t):
+        return min(o_conjugate_tuple(t, s) for s in conjugators)
+
+    pool = {name(t) for t in tuples}
+    parts = []
+    while pool:
+        seed = min(pool)
+        seen = {seed}
+        frontier = deque([seed])
+        while frontier:
+            cur = frontier.popleft()
+            for i in range(1, len(cur[1])):
+                for fwd in (True, False):
+                    nxt = name(o_move(cur, i, fwd))
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+        pool -= seen
+        parts.append(sorted(seen))
+    parts.sort(key=lambda c: c[0])
+    return parts
+
+
 def symmetric_elements(d):
     from itertools import permutations
 

@@ -257,15 +257,17 @@ def test_criterion_09_relabel_covariance(matrix):
                "relabelings per configuration")
 
 
-def test_criterion_10_determinism():
-    for label, d, gens, g, n in MATRIX_DOCS:
+def test_criterion_10_determinism(tmp_path):
+    for k, (label, d, gens, g, n) in enumerate(MATRIX_DOCS):
         doc = {"format_version": 1, "degree": d, "generators": gens,
                "base_genus": g, "branch_points": n}
         s1 = parse_job(json.dumps(doc))
-        s4 = dataclasses.replace(s1, threads=4)
+        cached = dataclasses.replace(s1, cache_dir=str(tmp_path / str(k)))
         first = comparison_payload(run_job(s1))
         again = comparison_payload(run_job(s1))
-        threaded = comparison_payload(run_job(s4))
+        cold = run_job(cached)
+        warm = run_job(cached)
+        assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}, label
         assert first == again, label
-        assert first == threaded, label
-    _report(10, "byte-identical payloads across reruns and threads 1 vs 4")
+        assert first == comparison_payload(cold) == comparison_payload(warm), label
+    _report(10, "byte-identical payloads across reruns and cold vs warm cache")

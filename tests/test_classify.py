@@ -120,6 +120,15 @@ def test_by_type_twisting_rows(c3):
     }
 
 
+def test_sweep_index_matches_class_functions(matrix, twisted):
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted:
+        cls = classify_space(G, g, n, bt)
+        assert set(cls.pointed_index) == set(cls.unpointed_index) == set(cls.tuples)
+        for t in cls.tuples:
+            assert cls.pointed[cls.pointed_index[t]] == pointed_class(t, G)
+            assert cls.unpointed[cls.unpointed_index[t]] == unpointed_class(t, G)
+
+
 # ---------------------------------------------------------------------------
 # classes, fibers and witnesses
 

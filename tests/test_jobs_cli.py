@@ -140,7 +140,7 @@ def test_cache_key_sensitive_to_fields():
 
 def test_cache_key_ignores_run_options():
     s = parse_job(json.dumps(GOOD))
-    s2 = dataclasses.replace(s, threads=4, cache_dir="/tmp/x", use_cache=False)
+    s2 = dataclasses.replace(s, cache_dir="/tmp/x", use_cache=False)
     assert cache_key(s) == cache_key(s2)
 
 
@@ -177,13 +177,6 @@ def test_work_cap_propagates():
     doc = spec_of({"caps": {"work": 10}})
     with pytest.raises(WorkCapExceeded):
         run_job(parse_job(json.dumps(doc)))
-
-
-def test_run_determinism_and_threads():
-    s1 = parse_job(json.dumps(GOOD))
-    s4 = dataclasses.replace(s1, threads=4)
-    assert comparison_payload(run_job(s1)) == comparison_payload(run_job(s1))
-    assert comparison_payload(run_job(s1)) == comparison_payload(run_job(s4))
 
 
 def test_report_to_json_is_stable():
@@ -239,6 +232,52 @@ def test_result_cache_low_level(tmp_path):
     assert meta["rows"] == 2
     assert list(data) == [1, 2, 3, 4]
     assert cache.load("nope", "tuples") is None
+    assert [p.name for p in tmp_path.iterdir()] == ["k1.tuples.bin"]
+
+
+def test_cache_leaves_only_entries(tmp_path):
+    s = dataclasses.replace(parse_job(json.dumps(GOOD)), cache_dir=str(tmp_path))
+    run_job(s)
+    run_job(s)
+    assert sorted(p.name.split(".", 1)[1] for p in tmp_path.iterdir()) == [
+        "components.bin", "tuples.bin",
+    ]
+
+
+# 0-based images of (1 2), (1 3) and the identity in S3; a GOOD row is
+# four entries of three points.
+_A, _B, _E = [1, 0, 2], [2, 1, 0], [0, 1, 2]
+BAD_ENTRIES = {
+    "row count": ("tuples", "header says",
+                  lambda meta, data: ({"count": meta["count"] + 1}, data)),
+    "row order": ("tuples", "strictly increasing",
+                  lambda meta, data: (meta, data[12:24] + data[:12] + data[24:])),
+    "outside group": ("tuples", "outside the group",
+                      lambda meta, data: ({"count": 1}, [0, 0, 0] * 4)),
+    "identity branch": ("tuples", "identity",
+                        lambda meta, data: ({"count": 1}, _A + _A + _E + _E)),
+    "relation": ("tuples", "relation",
+                 lambda meta, data: ({"count": 1}, _A + _A + _A + _B)),
+    "orbit count": ("components", "header says",
+                    lambda meta, data: ({"orbits": meta["orbits"] + 1}, data)),
+    "orbit order": ("components", "first appear",
+                    lambda meta, data: (meta, [1 - k for k in data])),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_ENTRIES))
+def test_cache_rejects_digest_valid_bad_entry(tmp_path, defect):
+    kind, reason, spoil = BAD_ENTRIES[defect]
+    s = dataclasses.replace(parse_job(json.dumps(GOOD)), cache_dir=str(tmp_path))
+    first = run_job(s)
+    cache = ResultCache(str(tmp_path))
+    key = cache_key(s)
+    cache.store(key, kind, *spoil(*cache.load(key, kind)))
+    with pytest.warns(CacheCorrupt, match=reason):
+        second = run_job(s)
+    assert second["meta"]["cache"]["misses"] >= 1
+    assert comparison_payload(first) == comparison_payload(second)
+    assert run_job(s)["meta"]["cache"] == {"hits": 2, "misses": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +394,6 @@ def test_cli_cache_flags(runner, job_file, tmp_path):
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["meta"]["cache"] == {"hits": 0, "misses": 0}
-
-
-def test_cli_threads_flag(runner, job_file):
-    a = runner.invoke(main, ["census", job_file])
-    b = runner.invoke(main, ["census", job_file, "--threads", "4"])
-    assert a.exit_code == b.exit_code == 0
-    da, db = json.loads(a.output), json.loads(b.output)
-    da.pop("meta"), db.pop("meta")
-    assert da == db
 
 
 def test_installed_entry_point(job_file):

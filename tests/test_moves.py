@@ -212,3 +212,26 @@ def test_typed_space_components(s3):
     assert list(part.orbit_sizes) == [24]
     ppart = components(s3, 0, 4, bt, level="pointed")
     assert sum(ppart.orbit_sizes) == 12
+
+
+def test_class_components_match_oracle(matrix, twisted):
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted:
+        elems, d = list(G.elements), G.degree
+        norm = o.o_normalizer(elems, d)
+        fixed = [s for s in norm if s[G.marked_point] == G.marked_point]
+        tuples = [as_pair(t) for t in enumerate_tuples(G, g, n, bt)]
+        for level, conj in (("pointed", fixed), ("unpointed", norm)):
+            part = components(G, g, n, bt, level=level)
+            got = [[as_pair(t) for t in orb] for orb in part.orbits]
+            assert got == o.class_move_partition(tuples, conj), (G, g, n, bt, level)
+
+
+def test_components_accepts_tuple_partition(s3):
+    tpart = components(s3, 0, 4)
+    for level in ("tuples", "pointed", "unpointed"):
+        assert components(s3, 0, 4, level=level, tuple_partition=tpart) == components(
+            s3, 0, 4, level=level
+        )
+    with pytest.raises(ValueError):
+        components(s3, 0, 4, tuple_partition=components(s3, 0, 4, level="pointed"))
+

@@ -116,11 +116,6 @@ def test_enumeration_matches_oracle(name, elems, d, g, n, request):
     assert got == expected
 
 
-def test_enumeration_thread_count_irrelevant(s3, v4):
-    for G, g, n in [(s3, 0, 4), (v4, 0, 4), (s3, 1, 1)]:
-        assert enumerate_tuples(G, g, n) == enumerate_tuples(G, g, n, threads=4)
-
-
 def test_enumeration_counts_nodes(s3):
     stats = {}
     enumerate_tuples(s3, 0, 3, stats=stats)
@@ -132,10 +127,17 @@ def test_work_cap_trips(s3):
         enumerate_tuples(s3, 0, 4, work_cap=10)
 
 
-def test_work_cap_same_decision_threaded(s3):
-    # the cap decision must not depend on the thread count
-    with pytest.raises(WorkCapExceeded):
-        enumerate_tuples(s3, 0, 4, work_cap=10, threads=4)
+def test_work_cap_bounds_visited_nodes(s3, c2):
+    # the cap is exact: the visited node count itself passes, one less trips.
+    # With handles the count exceeds the up-front bound |G|^(2g+n-1), so
+    # the count alone decides.
+    for G, g, n in [(s3, 1, 2), (c2, 1, 2)]:
+        stats = {}
+        expected = enumerate_tuples(G, g, n, stats=stats)
+        nodes = stats["nodes"]
+        assert enumerate_tuples(G, g, n, work_cap=nodes) == expected
+        with pytest.raises(WorkCapExceeded):
+            enumerate_tuples(G, g, n, work_cap=nodes - 1)
 
 
 def test_bad_arguments(s3):
