@@ -13,7 +13,6 @@ from .errors import (
     CapExceeded,
     CycleSyntaxError,
     DegreeMismatch,
-    DegreeTooLargeForSymSearch,
     DisconnectedCover,
     DomainSizeMismatch,
     FreeActionViolated,

@@ -44,6 +44,8 @@ def _decode(blob: bytes) -> tuple[dict, list[int]]:
     (head_len,) = struct.unpack(">I", body[len(_MAGIC):len(_MAGIC) + 4])
     head_start = len(_MAGIC) + 4
     header = json.loads(body[head_start:head_start + head_len].decode())
+    if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
+        raise ValueError("header or its meta is not an object")
     payload = body[head_start + head_len:]
     arr = array("q")
     arr.frombytes(payload)

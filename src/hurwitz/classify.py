@@ -101,8 +101,6 @@ def are_pointed_equivalent(t1: HurwitzTuple, t2: HurwitzTuple,
                            G: PermGroup,
                            marked_point: int | None = None) -> Perm | None:
     """The unique witness s in N(lam0) with s t1 s^-1 == t2, if any."""
-    if marked_point is None:
-        marked_point = G.marked_point
     N = normalizer_fixing_point(G, marked_point)
     witnesses = [s for s in N if conjugate_tuple(t1, s) == t2]
     if len(witnesses) > 1:

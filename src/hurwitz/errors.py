@@ -74,10 +74,6 @@ class OrbitCapExceeded(CapExceeded):
     """An orbit closure grew past the configured orbit cap."""
 
 
-class DegreeTooLargeForSymSearch(CapExceeded):
-    """Normalizer/centralizer search over S_d refused: d above the bound."""
-
-
 # -- internal invariant violations (exit code 4) ------------------------------
 
 class InternalInvariantViolation(HurwitzError):

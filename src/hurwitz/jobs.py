@@ -102,13 +102,13 @@ def parse_job(doc: str | dict) -> JobSpec:
     _require(isinstance(doc, dict), "job document must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
     _require(not unknown, f"unknown fields: {sorted(unknown)}")
-    _require(doc.get("format_version") == FORMAT_VERSION,
+    _require(type(doc.get("format_version")) is int and doc["format_version"] == FORMAT_VERSION,
              f"format_version must be {FORMAT_VERSION}")
     for name in ("degree", "generators", "base_genus", "branch_points"):
         _require(name in doc, f"missing required field {name!r}")
 
     degree = doc["degree"]
-    _require(isinstance(degree, int) and degree >= 1, "degree must be a positive integer")
+    _require(type(degree) is int and degree >= 1, "degree must be a positive integer")
     gens_raw = doc["generators"]
     _require(
         isinstance(gens_raw, list) and gens_raw
@@ -116,20 +116,20 @@ def parse_job(doc: str | dict) -> JobSpec:
         "generators must be a non-empty list of cycle strings",
     )
     base_genus = doc["base_genus"]
-    _require(isinstance(base_genus, int) and base_genus >= 0,
+    _require(type(base_genus) is int and base_genus >= 0,
              "base_genus must be a non-negative integer")
     branch_points = doc["branch_points"]
-    _require(isinstance(branch_points, int) and branch_points >= 1,
+    _require(type(branch_points) is int and branch_points >= 1,
              "branch_points must be a positive integer")
     marked_point = doc.get("marked_point", 1)
-    _require(isinstance(marked_point, int) and 1 <= marked_point <= degree,
+    _require(type(marked_point) is int and 1 <= marked_point <= degree,
              f"marked_point must be in 1..{degree}")
 
     caps_raw = doc.get("caps", {})
     _require(isinstance(caps_raw, dict) and set(caps_raw) <= _CAP_KEYS,
              f"caps may only contain {sorted(_CAP_KEYS)}")
     for k, v in caps_raw.items():
-        _require(isinstance(v, int) and v >= 1, f"cap {k!r} must be a positive integer")
+        _require(type(v) is int and v >= 1, f"cap {k!r} must be a positive integer")
     caps = Caps(**caps_raw)
 
     try:
@@ -150,7 +150,7 @@ def parse_job(doc: str | dict) -> JobSpec:
         for item in bt_raw:
             _require(
                 isinstance(item, list) and len(item) == 2
-                and isinstance(item[0], str) and isinstance(item[1], int),
+                and isinstance(item[0], str) and type(item[1]) is int,
                 "each branching_type entry must be [cycle-string, multiplicity]",
             )
             s, mult = item

@@ -18,12 +18,10 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations as _sym_permutations
 
 from .errors import (
     CycleSyntaxError,
     DegreeMismatch,
-    DegreeTooLargeForSymSearch,
     OrderCapExceeded,
     PointOutOfRange,
     RepeatedPoint,
@@ -32,7 +30,6 @@ from .errors import (
 Perm = tuple[int, ...]
 
 DEFAULT_ORDER_CAP = 10**6
-DEFAULT_SYM_SEARCH_BOUND = 10
 
 
 def identity(degree: int) -> Perm:
@@ -235,10 +232,8 @@ class PermGroup:
     # -- structure -----------------------------------------------------------
 
     def is_transitive(self) -> bool:
-        try:
+        if "transitive" in self._cache:
             return self._cache["transitive"]  # type: ignore[return-value]
-        except KeyError:
-            pass
         reach = {0}
         frontier = deque([0])
         while frontier:
@@ -256,20 +251,16 @@ class PermGroup:
         if not 0 <= lam < self.degree:
             raise PointOutOfRange(f"point {lam} out of range for degree {self.degree}")
         key = f"stab:{lam}"
-        try:
+        if key in self._cache:
             return self._cache[key]  # type: ignore[return-value]
-        except KeyError:
-            pass
         members = tuple(g for g in self.elements if g[lam] == lam)
         sub = PermGroup(self.degree, members, members, marked_point=self.marked_point)
         self._cache[key] = sub
         return sub
 
     def conjugacy_classes(self) -> tuple[ConjClass, ...]:
-        try:
+        if "classes" in self._cache:
             return self._cache["classes"]  # type: ignore[return-value]
-        except KeyError:
-            pass
         unseen = set(self.elements)
         classes = []
         # elements are sorted, so the first unseen member of a class is minimal
@@ -343,57 +334,70 @@ def subgroup_from_elements(degree: int, members, marked_point: int = 0) -> PermG
     return PermGroup(degree, members, members, marked_point=marked_point)
 
 
-def centralizer_in_sym(G: PermGroup, *, bound: int = DEFAULT_SYM_SEARCH_BOUND) -> PermGroup:
-    """Centralizer of G in the full symmetric group on its points.
+def normalizer_in_sym(G: PermGroup) -> PermGroup:
+    """Normalizer of G in the full symmetric group on its points.
 
-    Exhaustive scan over S_d; refused above the degree bound.
+    Depth-first search that assigns s[0], s[1], ... in increasing order,
+    so the leaves come out sorted.  For each generator g a node keeps the
+    elements of G that agree with s^-1 * g * s, the map s[j] -> s[g[j]],
+    where it is defined; a branch dies once one list is empty.  Every leaf
+    normalizes G, since s^-1 G s <= G forces equality in a finite group.
     """
-    key = "centralizer_sym"
-    try:
-        return G._cache[key]  # type: ignore[return-value]
-    except KeyError:
-        pass
-    if G.degree > bound:
-        raise DegreeTooLargeForSymSearch(f"degree {G.degree} > bound {bound}")
-    gens = G.generators
-    members = [
-        s
-        for s in _sym_permutations(range(G.degree))
-        if all(compose(s, g) == compose(g, s) for g in gens)
-    ]
-    out = subgroup_from_elements(G.degree, members, marked_point=G.marked_point)
-    G._cache[key] = out
-    return out
-
-
-def normalizer_in_sym(G: PermGroup, *, bound: int = DEFAULT_SYM_SEARCH_BOUND) -> PermGroup:
-    """Normalizer of G in the full symmetric group on its points."""
-    key = "normalizer_sym"
-    try:
-        return G._cache[key]  # type: ignore[return-value]
-    except KeyError:
-        pass
-    if G.degree > bound:
-        raise DegreeTooLargeForSymSearch(f"degree {G.degree} > bound {bound}")
-    gens = G.generators
-    members = []
-    for s in _sym_permutations(range(G.degree)):
-        s = tuple(s)
-        if all(conjugate(g, s) in G for g in gens) and all(
-            conjugate(g, inverse(s)) in G for g in gens
-        ):
+    if "normalizer_sym" in G._cache:
+        return G._cache["normalizer_sym"]  # type: ignore[return-value]
+    d = G.degree
+    gens = [(g, inverse(g)) for g in G.generators]
+    orbit0 = len({h[0] for h in G.elements})
+    members: list[Perm] = []
+    stack = [((), [G.elements] * len(gens))]
+    while stack:
+        s, agreeing = stack.pop()
+        k = len(s)
+        if k == d:
             members.append(s)
-    out = subgroup_from_elements(G.degree, members, marked_point=G.marked_point)
-    G._cache[key] = out
-    return out
+            # cap check: N_0 (fixing point 0) comes first and |N| >= |N_0| * |0^G|
+            if len(members) * (orbit0 if s[0] == 0 else 1) > DEFAULT_ORDER_CAP:
+                raise OrderCapExceeded(f"normalizer order exceeds cap {DEFAULT_ORDER_CAP}")
+            continue
+        images = set(range(d)).difference(s)
+        for (g, ginv), hs in zip(gens, agreeing):
+            if ginv[k] < k:  # g[j] = k for j < k: s[k] is h[s[j]] for a kept h
+                c = s[ginv[k]]
+                images.intersection_update(h[c] for h in hs)
+        for a in sorted(images, reverse=True):
+            t = s + (a,)
+            kept = []
+            for (g, ginv), hs in zip(gens, agreeing):
+                if ginv[k] < k:
+                    c = t[ginv[k]]
+                    hs = [h for h in hs if h[c] == a]
+                if g[k] <= k:
+                    b = t[g[k]]
+                    hs = [h for h in hs if h[a] == b]
+                if not hs:
+                    break
+                kept.append(hs)
+            else:
+                stack.append((t, kept))
+    G._cache["normalizer_sym"] = subgroup_from_elements(d, members, marked_point=G.marked_point)
+    return G._cache["normalizer_sym"]  # type: ignore[return-value]
 
 
-def normalizer_fixing_point(G: PermGroup, lam: int | None = None, *,
-                            bound: int = DEFAULT_SYM_SEARCH_BOUND) -> PermGroup:
+def centralizer_in_sym(G: PermGroup) -> PermGroup:
+    """Centralizer of G in the full symmetric group, taken out of N_Sym(G)."""
+    if "centralizer_sym" not in G._cache:
+        G._cache["centralizer_sym"] = subgroup_from_elements(G.degree, [
+            s for s in normalizer_in_sym(G)
+            if all(compose(s, g) == compose(g, s) for g in G.generators)
+        ], marked_point=G.marked_point)
+    return G._cache["centralizer_sym"]  # type: ignore[return-value]
+
+
+def normalizer_fixing_point(G: PermGroup, lam: int | None = None) -> PermGroup:
     """N(lam) = elements of the normalizer of G in S_d that fix the point lam.
 
     With lam omitted, uses the group's marked point.
     """
     if lam is None:
         lam = G.marked_point
-    return normalizer_in_sym(G, bound=bound).point_stabilizer(lam)
+    return normalizer_in_sym(G).point_stabilizer(lam)

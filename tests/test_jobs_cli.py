@@ -21,6 +21,7 @@ from hurwitz import (
     report_to_json,
     run_job,
 )
+from hurwitz.cache import _encode
 from hurwitz.cli import main
 
 
@@ -90,6 +91,14 @@ def test_schema_errors():
         json.dumps(spec_of({"branching_type": [["(1 2)", 0]]})),
         json.dumps(spec_of({"branching_type": [["()", 4]]})),
         json.dumps(spec_of({"branching_type": [["(1 2 3 4)", 4]]})),
+        # JSON booleans are not integers
+        json.dumps(spec_of({"marked_point": True})),
+        json.dumps(spec_of({"base_genus": False})),
+        json.dumps(spec_of({"format_version": True})),
+        json.dumps(spec_of({"caps": {"work": True}})),
+        json.dumps(spec_of({"branching_type": [["(1 2)", True], ["(1 2)", 3]]})),
+        json.dumps(spec_of({"degree": True, "generators": ["()"]})),
+        json.dumps(spec_of({"branch_points": True})),
     ]
     for doc in bad_docs:
         with pytest.raises(SchemaError):
@@ -235,6 +244,15 @@ def test_result_cache_low_level(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["k1.tuples.bin"]
 
 
+def test_cache_rejects_non_object_header(tmp_path):
+    path = tmp_path / "k1.tuples.bin"
+    path.write_bytes(_encode(["k1", "tuples"], [1, 2]))
+    cache = ResultCache(str(tmp_path))
+    with pytest.warns(CacheCorrupt, match="not an object"):
+        assert cache.load("k1", "tuples") is None
+    assert cache.misses == 1 and not path.exists()
+
+
 def test_cache_leaves_only_entries(tmp_path):
     s = dataclasses.replace(parse_job(json.dumps(GOOD)), cache_dir=str(tmp_path))
     run_job(s)
@@ -262,6 +280,8 @@ BAD_ENTRIES = {
                     lambda meta, data: ({"orbits": meta["orbits"] + 1}, data)),
     "orbit order": ("components", "first appear",
                     lambda meta, data: (meta, [1 - k for k in data])),
+    "meta not an object": ("tuples", "not an object",
+                           lambda meta, data: ([meta["count"]], data)),
 }
 
 
@@ -301,6 +321,22 @@ def test_cli_census(runner, job_file):
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["census"]["tuples"] == 96
+
+
+def test_cli_census_above_degree_ten(runner, tmp_path):
+    p = tmp_path / "c11.json"
+    p.write_text(json.dumps({
+        "format_version": 1,
+        "degree": 11,
+        "generators": ["(1 2 3 4 5 6 7 8 9 10 11)"],
+        "base_genus": 0,
+        "branch_points": 3,
+    }))
+    res = runner.invoke(main, ["census", str(p)])
+    assert res.exit_code == 0
+    # 10 * 10 - 10 tuples; |N(lambda0)| = 10 and |N| / |Z| = 110 / 11
+    census = json.loads(res.output)["census"]
+    assert (census["tuples"], census["pointed"], census["unpointed"]) == (90, 9, 9)
 
 
 def test_cli_output_file(runner, job_file, tmp_path):

@@ -1,14 +1,15 @@
-"""Permutation core: parsing, algebra, group generation, sym-group scans."""
+"""Permutation core: parsing, algebra, group generation, normalizer search."""
 
+import math
 import random
 
 import pytest
 
 import oracles as o
+from hurwitz import perms
 from hurwitz import (
     CycleSyntaxError,
     DegreeMismatch,
-    DegreeTooLargeForSymSearch,
     OrderCapExceeded,
     PermGroup,
     PointOutOfRange,
@@ -205,29 +206,40 @@ def test_transitivity(s3):
 
 
 # ---------------------------------------------------------------------------
-# scans over the ambient symmetric group
+# normalizer and centralizer in the ambient symmetric group
+
+
+def _oracle_cases(c2, s3, c3, v4):
+    extra = [
+        # fixed points and descents g[j] < j, where the search checks s[j]
+        # only after s[g[j]]: an intransitive group and a transitive C4
+        generate_group([parse_perm("(1 4 3)", 4)]),
+        generate_group([parse_perm("(1 3 2 4)", 4)]),
+        generate_group([parse_perm("(1 2 3 4 5)", 5), parse_perm("(1 2 3)", 5)]),
+        generate_group([], degree=3),
+    ]
+    return [
+        (c2, o.C2_ON_2),
+        (s3, o.S3_ON_3),
+        (c3, o.C3_ON_3),
+        (v4, o.V4_REGULAR),
+    ] + [(G, o.o_closure(G.generators)) for G in extra]
 
 
 def test_normalizer_matches_oracle(c2, s3, c3, v4):
-    for G, elems in [
-        (c2, o.C2_ON_2),
-        (s3, o.S3_ON_3),
-        (c3, o.C3_ON_3),
-        (v4, o.V4_REGULAR),
-    ]:
-        N = normalizer_in_sym(G)
-        assert set(N.elements) == set(o.o_normalizer(elems, G.degree))
+    for G, elems in _oracle_cases(c2, s3, c3, v4):
+        expected = sorted(o.o_normalizer(elems, G.degree))
+        assert normalizer_in_sym(G).elements == tuple(expected)
+        for lam in range(G.degree):
+            assert normalizer_fixing_point(G, lam).elements == tuple(
+                o.o_point_stabilizer(expected, lam)
+            )
 
 
 def test_centralizer_matches_oracle(c2, s3, c3, v4):
-    for G, elems in [
-        (c2, o.C2_ON_2),
-        (s3, o.S3_ON_3),
-        (c3, o.C3_ON_3),
-        (v4, o.V4_REGULAR),
-    ]:
-        Z = centralizer_in_sym(G)
-        assert set(Z.elements) == set(o.o_centralizer(elems, G.degree))
+    for G, elems in _oracle_cases(c2, s3, c3, v4):
+        expected = sorted(o.o_centralizer(elems, G.degree))
+        assert centralizer_in_sym(G).elements == tuple(expected)
 
 
 def test_sym_scan_orders(c2, s3, c3, v4):
@@ -249,11 +261,24 @@ def test_normalizer_fixing_point_fixes(s3):
     assert all(p[1] == 1 for p in N.elements)
 
 
-def test_sym_search_degree_bound():
+@pytest.mark.parametrize("n", [11, 12])
+def test_cyclic_normalizer_above_degree_ten(n):
+    # N_Sym(C_n) is the holomorph C_n : Aut(C_n), of order n * phi(n)
+    G = generate_group([tuple((i + 1) % n for i in range(n))])
+    N = normalizer_in_sym(G)
+    phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    assert N.order == n * phi
+    assert all(conjugate(g, s) in G for s in N for g in G.generators)
+    assert centralizer_in_sym(G).elements == G.elements
+
+
+def test_normalizer_order_cap(monkeypatch):
+    # N = S_2 x S_10 has 7,257,600 elements
+    monkeypatch.setattr(perms, "DEFAULT_ORDER_CAP", 1000)
     G = subgroup_from_elements(12, [identity(12), parse_perm("(1 2)", 12)])
-    with pytest.raises(DegreeTooLargeForSymSearch):
+    with pytest.raises(OrderCapExceeded):
         normalizer_in_sym(G)
-    with pytest.raises(DegreeTooLargeForSymSearch):
+    with pytest.raises(OrderCapExceeded):
         centralizer_in_sym(G)
 
 
