@@ -14,14 +14,17 @@ hit, and 4 for internal invariant violations.
 
 from __future__ import annotations
 
+import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import click
 
 from .classify import are_cover_equivalent, are_pointed_equivalent
 from .errors import CapExceeded, InputError, InternalInvariantViolation, SchemaError
-from .jobs import FORMAT_VERSION, JobSpec, build_group, parse_job, report_to_json, run_job
+from .jobs import (FORMAT_VERSION, JobSpec, _spec_to_json, build_group, parse_job,
+                   report_to_json, run_job)
 from .perms import format_perm, parse_perm
 from .tuples import tuple_from_entries, validate_tuple
 
@@ -54,24 +57,32 @@ def _load_spec(path: str, cache_dir: str | None,
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc}") from exc
 
 
-def _run_and_emit(path: str, requested: str, cache_dir: str | None,
-                  no_cache: bool, output: str | None) -> None:
+@contextmanager
+def _exit_codes():
+    """Turn the package's errors into an ``error:`` line and exit code 2, 3 or 4."""
     try:
-        spec = _load_spec(path, cache_dir, no_cache, requested)
-        doc = run_job(spec)
+        yield
     except InputError as exc:
         _fail(str(exc), EXIT_SCHEMA)
     except CapExceeded as exc:
         _fail(str(exc), EXIT_CAP)
     except InternalInvariantViolation as exc:
         _fail(str(exc), EXIT_INTERNAL)
-    else:
-        _emit(report_to_json(doc), output)
+
+
+def _run_and_emit(path: str, requested: str, cache_dir: str | None,
+                  no_cache: bool, output: str | None) -> None:
+    with _exit_codes():
+        spec = _load_spec(path, cache_dir, no_cache, requested)
+        _emit(report_to_json(run_job(spec)), output)
 
 
 def common_options(fn):
@@ -119,16 +130,8 @@ def fibers(spec_json, cache_dir, no_cache, output):
 @click.argument("spec_json", type=click.Path(dir_okay=False))
 def validate(spec_json, cache_dir, no_cache, output):
     """Validate a job document without running it."""
-    try:
+    with _exit_codes():
         spec = _load_spec(spec_json, cache_dir, no_cache, "validate")
-    except InputError as exc:
-        _fail(str(exc), EXIT_SCHEMA)
-    except CapExceeded as exc:
-        _fail(str(exc), EXIT_CAP)
-    else:
-        from .jobs import _spec_to_json
-        import json
-
         doc = {"format_version": FORMAT_VERSION, "valid": True,
                "spec": _spec_to_json(spec)}
         _emit(json.dumps(doc, indent=2) + "\n", output)
@@ -163,7 +166,7 @@ def split_tuple_argument(text: str) -> list[str]:
 @click.argument("spec_json", type=click.Path(dir_okay=False))
 def classify(spec_json, cache_dir, no_cache, output, tuples_raw):
     """Decide pointed and unpointed equivalence of two tuples."""
-    try:
+    with _exit_codes():
         spec = _load_spec(spec_json, cache_dir, no_cache, "classify")
         if len(tuples_raw) != 2:
             raise SchemaError("classify needs exactly two --tuple arguments")
@@ -191,15 +194,6 @@ def classify(spec_json, cache_dir, no_cache, output, tuples_raw):
         t1, t2 = parsed
         pointed_witness = are_pointed_equivalent(t1, t2, group)
         cover_witness = are_cover_equivalent(t1, t2, group)
-    except InputError as exc:
-        _fail(str(exc), EXIT_SCHEMA)
-    except CapExceeded as exc:
-        _fail(str(exc), EXIT_CAP)
-    except InternalInvariantViolation as exc:
-        _fail(str(exc), EXIT_INTERNAL)
-    else:
-        import json
-
         doc = {
             "format_version": FORMAT_VERSION,
             "pointed": {

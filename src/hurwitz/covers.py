@@ -17,6 +17,7 @@ the orbit length k; Riemann-Hurwitz then gives the fiber genus
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -27,9 +28,10 @@ from .errors import (
     NotASubgroup,
     ParityViolation,
 )
-from .perms import Perm, PermGroup, compose, cycle_type, cyclic_orbits
+from .perms import (Perm, PermGroup, compose, cycle_type, generate_group,
+                    normalizer_fixing_point, perm_order)
 from .tuples import HurwitzTuple
-from .classify import PointedClass, nu_fiber
+from .classify import PointedClass, conjugate_tuple
 
 
 @dataclass(frozen=True)
@@ -181,16 +183,11 @@ def actions_isomorphic(A: ActionTuple, B: ActionTuple) -> Perm | None:
 
 def ramification_profile(t: HurwitzTuple) -> tuple[tuple[int, ...], ...]:
     """Per branch point, the partition of the degree by orbit lengths of g_j."""
-    return tuple(
-        tuple(sorted((len(c) for c in cyclic_orbits(g)), reverse=True))
-        for g in t.branches
-    )
+    return tuple(cycle_type(g) for g in t.branches)
 
 
-def _genus_from_action(branch_actions, domain_size: int, base_genus: int) -> int:
-    ram = 0
-    for a in branch_actions:
-        ram += sum(len(c) - 1 for c in cyclic_orbits(a))
+def _genus_from_cycle_types(cycle_types, domain_size: int, base_genus: int) -> int:
+    ram = sum(domain_size - len(ct) for ct in cycle_types)
     val = domain_size * (2 * base_genus - 2) + ram
     if val % 2 != 0:
         raise ParityViolation(
@@ -211,10 +208,15 @@ def fiber_genus(t: HurwitzTuple, G: PermGroup, model: str = "induced",
     The action must be connected (transitive); genus of a disconnected
     action is refused rather than summed per component.
     """
+    if model == "galois":
+        if generate_group(t.entries(), cap=G.order + 1).elements != G.elements:
+            raise DisconnectedCover("galois action is not transitive")
+        # right translation by g: |G|/ord(g) cycles of length ord(g)
+        return _genus_from_cycle_types(
+            [(k,) * (G.order // k) for k in map(perm_order, t.branches)], G.order, t.base_genus
+        )
     if model == "induced":
         action = natural_model(t)
-    elif model == "galois":
-        action = regular_model(t, G)
     elif model == "coset":
         if H is None:
             raise NotASubgroup("coset model needs a subgroup H")
@@ -223,7 +225,9 @@ def fiber_genus(t: HurwitzTuple, G: PermGroup, model: str = "induced",
         raise ValueError(f"unknown model {model!r}")
     if not action.is_connected():
         raise DisconnectedCover(f"{model} action is not transitive")
-    return _genus_from_action(action.branch_actions, action.domain_size, t.base_genus)
+    return _genus_from_cycle_types(
+        [cycle_type(a) for a in action.branch_actions], action.domain_size, t.base_genus
+    )
 
 
 @dataclass(frozen=True)
@@ -249,11 +253,7 @@ class CoverReport:
 
 def cycle_type_multiset(t: HurwitzTuple) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Sorted (cycle type, multiplicity) pairs over the branch entries."""
-    counts: dict[tuple[int, ...], int] = {}
-    for g in t.branches:
-        ct = cycle_type(g)
-        counts[ct] = counts.get(ct, 0) + 1
-    return tuple(sorted(counts.items()))
+    return tuple(sorted(Counter(ramification_profile(t)).items()))
 
 
 def cover_report(t: HurwitzTuple, G: PermGroup) -> CoverReport:
@@ -273,15 +273,14 @@ def universal_fiber_report(c: PointedClass, G: PermGroup) -> CoverReport:
     """Cover data for the fiber of the universal family over one class.
 
     Computed from the canonical representative and re-verified against a
-    second member of the fiber (when one exists): every member must
-    produce the identical report, since all the quantities are
-    conjugation invariants.
+    second member of the fiber (when one exists), the conjugate by the
+    first non-identity element of N(lam0): every member must produce the
+    identical report, since all the quantities are conjugation invariants.
     """
     report = cover_report(c.canonical, G)
-    fiber = nu_fiber(c, G)
-    if len(fiber) > 1:
-        other = fiber[1] if fiber[0] == c.canonical else fiber[0]
-        if cover_report(other, G) != report:
+    N = normalizer_fixing_point(G, c.marked_point)
+    for s in N.elements[1:2]:  # sorted, so the identity is elements[0]
+        if cover_report(conjugate_tuple(c.canonical, s), G) != report:
             raise InternalInvariantViolation(
                 "cover report differs across members of one pointed class"
             )

@@ -247,12 +247,14 @@ def _tuples_to_ints(tuples: list[HurwitzTuple] | tuple[HurwitzTuple, ...]) -> li
 
 
 def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
+                      type_filter: BranchingType | None,
                       meta: dict, data: list[int]) -> tuple[HurwitzTuple, ...]:
     """Decode a cached tuples entry, checking that it could be the space.
 
     Raises ValueError unless there are ``meta["count"]`` rows in strictly
     increasing order, every entry lies in the group, no branch entry is
-    the identity and every row satisfies the relation.
+    the identity, every row satisfies the relation and, under a type
+    filter, every row has exactly that branching type.
     """
     degree = group.degree
     width = (2 * base_genus + branch_points) * degree
@@ -276,6 +278,8 @@ def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
             raise ValueError("a branch entry is the identity")
         if t.total_product() != ident:
             raise ValueError("a row violates the relation")
+        if type_filter is not None and branching_type_of(t, group) != type_filter:
+            raise ValueError("a row breaks the branching type")
         out.append(t)
     return tuple(out)
 
@@ -293,7 +297,7 @@ def run_job(spec: JobSpec) -> dict:
     stats: dict = {}
 
     tuples = cache.load(key, "tuples", partial(
-        _tuples_from_ints, group, spec.base_genus, spec.branch_points))
+        _tuples_from_ints, group, spec.base_genus, spec.branch_points, type_filter))
     if tuples is None:
         tuples = tuple(
             enumerate_tuples(

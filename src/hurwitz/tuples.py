@@ -228,11 +228,10 @@ def enumerate_tuples(
         last = inverse(run)
         if last == ident or not class_ok(last):
             return
-        entries = tuple(chosen) + (last,)
-        closure = generate_group(entries, cap=G.order + 1)
-        if closure.elements != G.elements:
+        # last is a word in the chosen entries, so they alone generate the same group
+        if generate_group(chosen, cap=G.order + 1).elements != G.elements:
             return
-        out.append(tuple_from_entries(G.degree, base_genus, entries))
+        out.append(tuple_from_entries(G.degree, base_genus, tuple(chosen) + (last,)))
 
     def walk(depth: int, run: Perm) -> None:
         # ``depth`` counts fully assigned free slots; ``run`` is the

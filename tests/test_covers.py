@@ -1,5 +1,7 @@
 """Action models, ramification, Riemann-Hurwitz genus, cover reports."""
 
+import dataclasses
+
 import pytest
 
 import oracles as o
@@ -7,6 +9,7 @@ from hurwitz import (
     DegreeMismatch,
     DisconnectedCover,
     DomainSizeMismatch,
+    InternalInvariantViolation,
     NotASubgroup,
     ParityViolation,
     actions_isomorphic,
@@ -102,15 +105,31 @@ def test_genus_s3_transpositions(s3):
         assert fiber_genus(c.canonical, s3, "galois") == 1
 
 
-def test_genus_matches_oracle(matrix):
-    for G, g, n in matrix:
-        for t in enumerate_tuples(G, g, n)[:6]:
+def test_genus_matches_oracle(matrix, twisted):
+    # every tuple: the galois genus comes from element orders, the oracle
+    # walks the full regular action
+    spaces = [(G, g, n, None) for G, g, n in matrix] + twisted
+    for G, g, n, bt in spaces:
+        for t in enumerate_tuples(G, g, n, bt):
             nat = natural_model(t)
             expected = o.o_genus(nat.branch_actions, nat.domain_size, g)
             assert fiber_genus(t, G, "induced") == expected
             reg = regular_model(t, G)
             expected = o.o_genus(reg.branch_actions, reg.domain_size, g)
             assert fiber_genus(t, G, "galois") == expected
+
+
+def test_galois_refused_when_entries_generate_a_proper_subgroup(s3):
+    # three 3-cycles: transitive on the points (induced genus 1), but they
+    # generate only C3, so the regular action of S3 has two orbits
+    r = parse_perm("(1 2 3)", 3)
+    t = tuple_from_entries(3, 0, [r, r, r])
+    assert fiber_genus(t, s3, "induced") == 1
+    assert not regular_model(t, s3).is_connected()
+    with pytest.raises(DisconnectedCover):
+        fiber_genus(t, s3, "galois")
+    with pytest.raises(DisconnectedCover):
+        cover_report(t, s3)
 
 
 def test_disconnected_refused():
@@ -264,6 +283,24 @@ def test_universal_report_well_defined_on_full_fiber(matrix):
             rep = universal_fiber_report(c, G)
             for member in nu_fiber(c, G):
                 assert cover_report(member, G) == rep
+
+
+def test_universal_report_checks_a_second_member(s3, monkeypatch):
+    import hurwitz.covers as covers
+
+    c = classify_space(s3, 0, 4).pointed[0]
+    honest = covers.cover_report
+    calls = []
+
+    def lying(t, G):
+        calls.append(t)
+        rep = honest(t, G)
+        return rep if t == c.canonical else dataclasses.replace(rep, genus=rep.genus + 1)
+
+    monkeypatch.setattr(covers, "cover_report", lying)
+    with pytest.raises(InternalInvariantViolation):
+        universal_fiber_report(c, s3)
+    assert len(calls) == 2 and calls[1] in nu_fiber(c, s3)
 
 
 def test_universal_report_c3_twisted_type(c3):

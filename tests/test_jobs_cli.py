@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from hurwitz import (
     CacheCorrupt,
+    InternalInvariantViolation,
     IntransitiveGroup,
     ResultCache,
     SchemaError,
@@ -300,6 +301,24 @@ def test_cache_rejects_digest_valid_bad_entry(tmp_path, defect):
     assert run_job(s)["meta"]["cache"] == {"hits": 2, "misses": 0}
 
 
+def test_cache_rejects_rows_of_another_type(tmp_path):
+    # the unfiltered space stored under the key of its transpositions-only
+    # subspace passes every other row check
+    full = dataclasses.replace(parse_job(json.dumps(GOOD)), cache_dir=str(tmp_path))
+    filtered = dataclasses.replace(
+        parse_job(json.dumps(spec_of({"branching_type": [["(1 2)", 4]]}))),
+        cache_dir=str(tmp_path),
+    )
+    run_job(full)
+    cache = ResultCache(str(tmp_path))
+    cache.store(cache_key(filtered), "tuples", *cache.load(cache_key(full), "tuples"))
+    with pytest.warns(CacheCorrupt, match="branching type"):
+        doc = run_job(filtered)
+    assert (doc["census"]["tuples"], doc["census"]["pointed"]) == (24, 12)
+    fresh = run_job(dataclasses.replace(filtered, use_cache=False))
+    assert comparison_payload(doc) == comparison_payload(fresh)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -346,6 +365,33 @@ def test_cli_output_file(runner, job_file, tmp_path):
     assert json.loads(out.read_text())["census"]["pointed"] == 48
 
 
+CLASSIFY_TUPLES = ["--tuple", "(1 2), (1 2), (1 3), (1 3)",
+                   "--tuple", "(1 3), (1 3), (1 2), (1 2)"]
+
+
+@pytest.mark.parametrize("command", ["census", "validate", "classify"])
+def test_cli_unwritable_output(runner, job_file, tmp_path, command):
+    out = str(tmp_path / "missing" / "r.json")
+    extra = CLASSIFY_TUPLES if command == "classify" else []
+    res = runner.invoke(main, [command, job_file, "--output", out, *extra])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "error: cannot write" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_cli_validate_exit_code_internal(runner, job_file, monkeypatch):
+    import hurwitz.cli as cli
+
+    def broken(text):
+        raise InternalInvariantViolation("broken")
+
+    monkeypatch.setattr(cli, "parse_job", broken)
+    res = runner.invoke(main, ["validate", job_file])
+    assert res.exit_code == 4
+    assert "error: broken" in res.output
+
+
 def test_cli_components_and_fibers(runner, job_file):
     for sub in ("components", "fibers"):
         res = runner.invoke(main, [sub, job_file])
@@ -364,12 +410,7 @@ def test_cli_validate(runner, job_file):
 
 
 def test_cli_classify(runner, job_file):
-    res = runner.invoke(
-        main,
-        ["classify", job_file,
-         "--tuple", "(1 2), (1 2), (1 3), (1 3)",
-         "--tuple", "(1 3), (1 3), (1 2), (1 2)"],
-    )
+    res = runner.invoke(main, ["classify", job_file, *CLASSIFY_TUPLES])
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["pointed"]["equivalent"] is True
