@@ -44,6 +44,7 @@ from .perms import (
     cyclic_orbits,
     format_perm,
     generate_group,
+    generates,
     identity,
     inverse,
     normalizer_fixing_point,

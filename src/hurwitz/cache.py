@@ -4,7 +4,8 @@ Each entry is one file named ``<key>.<kind>.bin`` holding a small JSON
 header plus a flat integer payload, followed by a SHA-256 digest of
 everything before it.  Corrupt entries (bad magic, bad digest, bad
 header, or data the caller's decoder rejects) are discarded and
-recomputed with a warning rather than trusted.
+recomputed with a warning rather than trusted.  A missing entry is a
+miss; any other I/O failure is an InputError naming the directory.
 
 A store writes a temporary file, syncs it and renames it over the entry,
 so concurrent readers see either the old or the new complete file.
@@ -20,6 +21,8 @@ import warnings
 from array import array
 from collections.abc import Callable
 from pathlib import Path
+
+from .errors import InputError
 
 _MAGIC = b"HWZCACH1"
 
@@ -71,7 +74,8 @@ class ResultCache:
 
         Returns None on a miss.  An entry that fails its digest or header
         check, or whose ``decode`` raises ValueError, is reported with a
-        CacheCorrupt warning, deleted and counted as a miss.
+        CacheCorrupt warning, deleted and counted as a miss.  An unreadable
+        directory raises InputError.
         """
         if not self.enabled:
             return None
@@ -81,6 +85,8 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return None
+        except OSError as exc:
+            raise self._unusable(exc) from exc
         try:
             header, data = _decode(blob)
             if header.get("key") != key or header.get("kind") != kind:
@@ -103,13 +109,18 @@ class ResultCache:
     def store(self, key: str, kind: str, meta: dict, data: list[int]) -> None:
         if not self.enabled:
             return
-        assert self.directory is not None
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key, kind)
         blob = _encode({"key": key, "kind": kind, "meta": meta}, data)
         tmp = path.with_suffix(".tmp." + str(os.getpid()))
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "wb") as fh:
+                fh.write(blob)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise self._unusable(exc) from exc
+
+    def _unusable(self, exc: OSError) -> InputError:
+        return InputError(f"cannot use cache directory {self.directory}: {exc}")

@@ -42,37 +42,25 @@ def conjugate_tuple(t: HurwitzTuple, s: Perm) -> HurwitzTuple:
     if t.degree != len(s):
         raise DegreeMismatch(f"tuple degree {t.degree} vs conjugator degree {len(s)}")
     sinv = inverse(s)
-
-    def conj(e: Perm) -> Perm:
-        return tuple(sinv[e[j]] for j in s)
-
     return HurwitzTuple(
-        t.degree,
-        tuple((conj(a), conj(b)) for a, b in t.handles),
-        tuple(conj(g) for g in t.branches),
+        tuple(tuple(sinv[e[j]] for j in s) for e in t.entries), t.base_genus
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class PointedClass:
     """One point of the pointed quotient space at a fixed marked point."""
 
     canonical: HurwitzTuple
     marked_point: int
 
-    def __lt__(self, other: "PointedClass") -> bool:
-        return self.canonical.entries() < other.canonical.entries()
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class UnpointedClass:
     """One cover-equivalence class: canonical representative and orbit size."""
 
     canonical: HurwitzTuple
     orbit_size: int
-
-    def __lt__(self, other: "UnpointedClass") -> bool:
-        return self.canonical.entries() < other.canonical.entries()
 
 
 def _orbit(t: HurwitzTuple, conjugators) -> set[HurwitzTuple]:

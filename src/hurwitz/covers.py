@@ -28,7 +28,7 @@ from .errors import (
     NotASubgroup,
     ParityViolation,
 )
-from .perms import (Perm, PermGroup, compose, cycle_type, generate_group,
+from .perms import (Perm, PermGroup, compose, cycle_type, generates,
                     normalizer_fixing_point, perm_order)
 from .tuples import HurwitzTuple
 from .classify import PointedClass, conjugate_tuple
@@ -38,7 +38,7 @@ from .classify import PointedClass, conjugate_tuple
 class ActionTuple:
     """A tuple together with an explicit permutation action of every entry.
 
-    ``actions`` matches ``base.entries()`` position by position; each is a
+    ``actions`` matches ``base.entries`` position by position; each is a
     permutation of {0, ..., domain_size - 1}.
     """
 
@@ -68,14 +68,14 @@ class ActionTuple:
 
 def natural_model(t: HurwitzTuple) -> ActionTuple:
     """The entries acting on the d points as given."""
-    return ActionTuple(t, t.degree, t.entries())
+    return ActionTuple(t, t.degree, t.entries)
 
 
 def regular_model(t: HurwitzTuple, G: PermGroup) -> ActionTuple:
     """Entries act on the sorted element list of G by right translation."""
     index = {g: i for i, g in enumerate(G.elements)}
     actions = tuple(
-        tuple(index[compose(h, e)] for h in G.elements) for e in t.entries()
+        tuple(index[compose(h, e)] for h in G.elements) for e in t.entries
     )
     return ActionTuple(t, G.order, actions)
 
@@ -103,7 +103,7 @@ def coset_model(t: HurwitzTuple, G: PermGroup, H: PermGroup) -> ActionTuple:
     index = {rep: i for i, rep in enumerate(reps)}
     actions = tuple(
         tuple(index[coset_of[compose(rep, e)]] for rep in reps)
-        for e in t.entries()
+        for e in t.entries
     )
     return ActionTuple(t, len(reps), actions)
 
@@ -209,7 +209,7 @@ def fiber_genus(t: HurwitzTuple, G: PermGroup, model: str = "induced",
     action is refused rather than summed per component.
     """
     if model == "galois":
-        if generate_group(t.entries(), cap=G.order + 1).elements != G.elements:
+        if not generates(G, t.entries):
             raise DisconnectedCover("galois action is not transitive")
         # right translation by g: |G|/ord(g) cycles of length ord(g)
         return _genus_from_cycle_types(

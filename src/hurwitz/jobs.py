@@ -241,7 +241,7 @@ def _type_to_json(bt: BranchingType) -> list:
 def _tuples_to_ints(tuples: list[HurwitzTuple] | tuple[HurwitzTuple, ...]) -> list[int]:
     flat: list[int] = []
     for t in tuples:
-        for e in t.entries():
+        for e in t.entries:
             flat.extend(e)
     return flat
 
@@ -348,7 +348,7 @@ def run_job(spec: JobSpec) -> dict:
         report = universal_fiber_report(c, group)
         classes_json.append(
             {
-                "canonical": [format_perm(e) for e in c.canonical.entries()],
+                "canonical": [format_perm(e) for e in c.canonical.entries],
                 "type": _type_to_json(branching_type_of(c.canonical, group)),
                 "profiles": [list(p) for p in report.profiles],
                 "genus_induced": report.genus,

@@ -42,13 +42,14 @@ def hurwitz_move(t: HurwitzTuple, i: int, *, inverse_move: bool = False,
         raise IndexOutOfRange(f"move index {i} outside 1..{n - 1}")
     if convention == "mirrored":
         inverse_move = not inverse_move
-    b = list(t.branches)
-    gi, gj = b[i - 1], b[i]
+    e = list(t.entries)
+    k = 2 * t.base_genus + i  # the flat slots of g_i and g_i+1 are k - 1 and k
+    gi, gj = e[k - 1], e[k]
     if inverse_move:
-        b[i - 1], b[i] = gj, compose(compose(inverse(gj), gi), gj)
+        e[k - 1], e[k] = gj, compose(compose(inverse(gj), gi), gj)
     else:
-        b[i - 1], b[i] = compose(compose(gi, gj), inverse(gi)), gi
-    return HurwitzTuple(t.degree, t.handles, tuple(b))
+        e[k - 1], e[k] = compose(compose(gi, gj), inverse(gi)), gi
+    return HurwitzTuple(tuple(e), t.base_genus)
 
 
 def braid_orbit(t: HurwitzTuple, *, orbit_cap: int = DEFAULT_ORBIT_CAP,

@@ -329,6 +329,14 @@ def generate_group(gens, degree: int | None = None, *,
     return PermGroup(d, gens, tuple(sorted(seen)), marked_point=marked_point)
 
 
+def generates(G: PermGroup, gens) -> bool:
+    """True when the permutations gens lie in G and generate all of it."""
+    gens = tuple(gens)
+    # the closure of a subset of G stays inside G, so the cap is never hit
+    return (all(g in G for g in gens)
+            and generate_group(gens, G.degree, cap=G.order).order == G.order)
+
+
 def subgroup_from_elements(degree: int, members, marked_point: int = 0) -> PermGroup:
     members = tuple(sorted(set(members)))
     return PermGroup(degree, members, members, marked_point=marked_point)

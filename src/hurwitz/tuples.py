@@ -23,7 +23,7 @@ from .perms import (
     compose,
     conjugate,
     format_perm,
-    generate_group,
+    generates,
     identity,
     inverse,
 )
@@ -31,36 +31,34 @@ from .perms import (
 DEFAULT_WORK_CAP = 10**8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class HurwitzTuple:
-    """Immutable monodromy tuple; ordering is lexicographic on the
-    concatenated one-line notations of all entries (handles first)."""
+    """Immutable monodromy tuple stored as its flat entries, handles first
+    (a_1, b_1, ..., a_g, b_g, g_1, ..., g_n); ordering is lexicographic on
+    the entries, i.e. on their concatenated one-line notations."""
 
-    degree: int
-    handles: tuple[tuple[Perm, Perm], ...]
-    branches: tuple[Perm, ...]
+    entries: tuple[Perm, ...]
+    base_genus: int
 
     @property
-    def base_genus(self) -> int:
-        return len(self.handles)
+    def degree(self) -> int:
+        return len(self.entries[0])
+
+    @property
+    def handles(self) -> tuple[tuple[Perm, Perm], ...]:
+        e = self.entries
+        return tuple((e[2 * i], e[2 * i + 1]) for i in range(self.base_genus))
+
+    @property
+    def branches(self) -> tuple[Perm, ...]:
+        return self.entries[2 * self.base_genus:]
 
     @property
     def branch_count(self) -> int:
-        return len(self.branches)
-
-    def entries(self) -> tuple[Perm, ...]:
-        flat: list[Perm] = []
-        for a, b in self.handles:
-            flat.append(a)
-            flat.append(b)
-        flat.extend(self.branches)
-        return tuple(flat)
-
-    def __lt__(self, other: "HurwitzTuple") -> bool:
-        return self.entries() < other.entries()
+        return len(self.entries) - 2 * self.base_genus
 
     def __str__(self) -> str:
-        return ", ".join(format_perm(e) for e in self.entries())
+        return ", ".join(format_perm(e) for e in self.entries)
 
     def total_product(self) -> Perm:
         run = identity(self.degree)
@@ -80,10 +78,7 @@ def tuple_from_entries(degree: int, base_genus: int, entries) -> HurwitzTuple:
     for e in entries:
         if len(e) != degree:
             raise DegreeMismatch(f"entry of degree {len(e)}, expected {degree}")
-    handles = tuple(
-        (entries[2 * i], entries[2 * i + 1]) for i in range(base_genus)
-    )
-    return HurwitzTuple(degree, handles, entries[2 * base_genus:])
+    return HurwitzTuple(entries, base_genus)
 
 
 @dataclass(frozen=True)
@@ -110,14 +105,7 @@ def validate_tuple(t: HurwitzTuple, G: PermGroup) -> ValidationReport:
     ident = identity(t.degree)
     relation = t.total_product() == ident
     no_trivial = all(g != ident for g in t.branches)
-    entries = t.entries()
-    if all(e in G for e in entries):
-        # closure of a subset of G stays inside G, so the cap is never hit
-        closure = generate_group(entries, cap=G.order + 1)
-        generates = closure.elements == G.elements
-    else:
-        generates = False
-    return ValidationReport(relation, no_trivial, generates, G.is_transitive())
+    return ValidationReport(relation, no_trivial, generates(G, t.entries), G.is_transitive())
 
 
 @dataclass(frozen=True)
@@ -229,9 +217,8 @@ def enumerate_tuples(
         if last == ident or not class_ok(last):
             return
         # last is a word in the chosen entries, so they alone generate the same group
-        if generate_group(chosen, cap=G.order + 1).elements != G.elements:
-            return
-        out.append(tuple_from_entries(G.degree, base_genus, tuple(chosen) + (last,)))
+        if generates(G, chosen):
+            out.append(HurwitzTuple(tuple(chosen) + (last,), base_genus))
 
     def walk(depth: int, run: Perm) -> None:
         # ``depth`` counts fully assigned free slots; ``run`` is the

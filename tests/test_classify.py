@@ -203,6 +203,25 @@ def test_cover_inequivalent_gives_none(s3):
     assert are_cover_equivalent(u0.canonical, u1.canonical, s3) is None
 
 
+def test_conjugate_tuple_keeps_genus_and_handle_slots(matrix, twisted, s3):
+    spaces = [(G, g, n, None) for G, g, n in matrix] + twisted + [(s3, 1, 2, None)]
+    for G, g, n, bt in spaces:
+        for t in enumerate_tuples(G, g, n, bt)[:8]:
+            for s in normalizer_in_sym(G):
+                c = conjugate_tuple(t, s)
+                assert c.base_genus == g
+                assert (c.handles, c.branches) == o.o_conjugate_tuple((t.handles, t.branches), s)
+
+
+def test_classes_sort_by_canonical(matrix, twisted):
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted:
+        cls = classify_space(G, g, n, bt)
+        for classes in (cls.pointed, cls.unpointed):
+            shuffled = list(reversed(classes))
+            assert sorted(shuffled) == sorted(shuffled, key=lambda c: c.canonical)
+            assert sorted(shuffled) == list(classes)
+
+
 def test_conjugate_tuple_degree_checked(s3):
     t = enumerate_tuples(s3, 0, 3)[0]
     with pytest.raises(DegreeMismatch):

@@ -132,6 +132,15 @@ def test_galois_refused_when_entries_generate_a_proper_subgroup(s3):
         cover_report(t, s3)
 
 
+def test_galois_refused_when_an_entry_lies_outside_the_group(c3):
+    # (1 2) is not in C3; the refusal must not depend on closing S3 under C3's cap
+    t = tuple_from_entries(3, 0, [parse_perm(s, 3) for s in ("(1 2)", "(1 2 3)", "(1 3)")])
+    with pytest.raises(DisconnectedCover):
+        fiber_genus(t, c3, "galois")
+    with pytest.raises(DisconnectedCover):
+        cover_report(t, c3)
+
+
 def test_disconnected_refused():
     G = subgroup_from_elements(4, [identity(4), parse_perm("(1 2)", 4)])
     a = parse_perm("(1 2)", 4)
@@ -159,7 +168,7 @@ def test_natural_model(s3):
     t = enumerate_tuples(s3, 0, 3)[0]
     m = natural_model(t)
     assert m.domain_size == 3
-    assert m.actions == t.entries()
+    assert m.actions == t.entries
     assert m.is_connected()
 
 

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from hurwitz import (
     CacheCorrupt,
+    InputError,
     InternalInvariantViolation,
     IntransitiveGroup,
     ResultCache,
@@ -245,6 +246,16 @@ def test_result_cache_low_level(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["k1.tuples.bin"]
 
 
+def test_result_cache_unusable_directory(tmp_path):
+    (tmp_path / "afile").write_text("")
+    cache = ResultCache(str(tmp_path / "afile" / "sub"))
+    with pytest.raises(InputError, match="cannot use cache directory"):
+        cache.load("k1", "tuples")
+    with pytest.raises(InputError, match="cannot use cache directory"):
+        cache.store("k1", "tuples", {}, [1])
+    assert ResultCache(str(tmp_path)).load("k1", "tuples") is None
+
+
 def test_cache_rejects_non_object_header(tmp_path):
     path = tmp_path / "k1.tuples.bin"
     path.write_bytes(_encode(["k1", "tuples"], [1, 2]))
@@ -377,6 +388,16 @@ def test_cli_unwritable_output(runner, job_file, tmp_path, command):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "error: cannot write" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_cli_unusable_cache_dir(runner, job_file, tmp_path):
+    (tmp_path / "afile").write_text("")
+    cdir = str(tmp_path / "afile" / "sub")
+    res = runner.invoke(main, ["census", job_file, "--cache-dir", cdir])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "error: cannot use cache directory" in res.output
     assert "Traceback" not in res.output
 
 

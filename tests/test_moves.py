@@ -41,14 +41,15 @@ def test_move_formula(s3):
     assert m.branches[2] == t.branches[2]
 
 
-def test_move_matches_oracle(s3, v4):
-    for G, n in [(s3, 4), (v4, 4)]:
-        for t in enumerate_tuples(G, 0, n)[:10]:
+def test_move_matches_oracle(s3, v4, c2):
+    # in genus >= 1 the moved slots sit after the 2g handle entries
+    for G, g, n in [(s3, 0, 4), (v4, 0, 4), (s3, 1, 3), (c2, 1, 2)]:
+        for t in enumerate_tuples(G, g, n)[:10]:
             for i in range(1, n):
-                assert as_pair(hurwitz_move(t, i)) == o.o_move(as_pair(t), i, True)
-                assert as_pair(hurwitz_move(t, i, inverse_move=True)) == o.o_move(
-                    as_pair(t), i, False
-                )
+                for inv in (False, True):
+                    m = hurwitz_move(t, i, inverse_move=inv)
+                    assert m.base_genus == g
+                    assert as_pair(m) == o.o_move(as_pair(t), i, not inv)
 
 
 def test_move_round_trip(s3):

@@ -23,6 +23,7 @@ from hurwitz import (
     cyclic_orbits,
     format_perm,
     generate_group,
+    generates,
     identity,
     inverse,
     normalizer_fixing_point,
@@ -157,6 +158,14 @@ def test_generate_group_cap():
     with pytest.raises(OrderCapExceeded):
         generate_group(gens, cap=10)
     assert generate_group(gens).order == 120
+
+
+def test_generates(s3, c3):
+    r, t = parse_perm("(1 2 3)", 3), parse_perm("(1 2)", 3)
+    assert generates(s3, [r, t]) and generates(s3, (t, r, t)) and generates(c3, [r])
+    assert not generates(s3, [r]) and not generates(s3, [])
+    # an entry outside the group is a plain False, not a cap error
+    assert not generates(c3, [t, r])
 
 
 def test_group_membership_and_iteration(s3):

@@ -1,5 +1,8 @@
 """Tuple validity, branching types, and the exhaustive enumerator."""
 
+import dataclasses
+import random
+
 import pytest
 
 import oracles as o
@@ -39,7 +42,20 @@ def test_tuple_structure(s3):
     assert t.base_genus == 1 and t.branch_count == 2
     assert t.handles == ((a, b),)
     assert t.branches == (a, a)
-    assert t.entries() == (a, b, a, a)
+    assert t.entries == (a, b, a, a)
+
+
+def test_tuple_fields_are_flat_entries_and_genus():
+    assert [f.name for f in dataclasses.fields(HurwitzTuple)] == ["entries", "base_genus"]
+
+
+def test_entries_round_trip(matrix, twisted):
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted:
+        for t in enumerate_tuples(G, g, n, bt):
+            assert tuple_from_entries(G.degree, g, t.entries) == t
+            assert from_pair(as_pair(t), G.degree) == t
+            assert tuple(x for ab in t.handles for x in ab) + t.branches == t.entries
+            assert len(t.handles) == t.base_genus == g and t.branch_count == n
 
 
 def test_tuple_entry_count_checked():
@@ -89,6 +105,14 @@ def test_tuple_ordering(s3):
     ts = enumerate_tuples(s3, 0, 3)
     assert ts == sorted(ts)
     assert all(ts[i] < ts[i + 1] for i in range(len(ts) - 1))
+
+
+def test_order_is_lexicographic_on_concatenated_entries(matrix, twisted):
+    rng = random.Random(3)
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted:
+        ts = enumerate_tuples(G, g, n, bt)
+        rng.shuffle(ts)
+        assert sorted(ts) == sorted(ts, key=lambda t: sum(t.entries, ()))
 
 
 # ---------------------------------------------------------------------------
