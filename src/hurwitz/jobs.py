@@ -31,7 +31,7 @@ from .errors import (
     TypeMultiplicityMismatch,
 )
 from .moves import ComponentPartition, components
-from .perms import PermGroup, format_perm, generate_group, identity, parse_perm
+from .perms import PermGroup, format_perm, generate_group, generates, identity, parse_perm
 from .tuples import (
     BranchingType,
     HurwitzTuple,
@@ -253,8 +253,9 @@ def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
 
     Raises ValueError unless there are ``meta["count"]`` rows in strictly
     increasing order, every entry lies in the group, no branch entry is
-    the identity, every row satisfies the relation and, under a type
-    filter, every row has exactly that branching type.
+    the identity, every row satisfies the relation and generates the
+    group and, under a type filter, every row has exactly that branching
+    type.
     """
     degree = group.degree
     width = (2 * base_genus + branch_points) * degree
@@ -278,6 +279,8 @@ def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
             raise ValueError("a branch entry is the identity")
         if t.total_product() != ident:
             raise ValueError("a row violates the relation")
+        if not generates(group, entries):
+            raise ValueError("a row does not generate the group")
         if type_filter is not None and branching_type_of(t, group) != type_filter:
             raise ValueError("a row breaks the branching type")
         out.append(t)
@@ -384,6 +387,8 @@ def run_job(spec: JobSpec) -> dict:
             "version": __version__,
             "elapsed_s": round(time.perf_counter() - t_start, 6),
             "work_nodes": stats.get("nodes"),
+            "leaves": stats.get("leaves"),
+            "join_memo": stats.get("join_memo"),
             "cache": {"hits": cache.hits, "misses": cache.misses},
         },
     }

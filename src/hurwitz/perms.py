@@ -196,7 +196,6 @@ class PermGroup:
         self.generators = generators
         self.elements = elements  # sorted, deduplicated, closed
         self.marked_point = marked_point
-        self._element_set = frozenset(elements)
         self._cache: dict[str, object] = {}
 
     # -- basic protocol ------------------------------------------------------
@@ -206,7 +205,7 @@ class PermGroup:
         return len(self.elements)
 
     def __contains__(self, p: Perm) -> bool:
-        return p in self._element_set
+        return p in self.table.index
 
     def __iter__(self):
         return iter(self.elements)
@@ -295,6 +294,87 @@ class PermGroup:
             return self
         return PermGroup(self.degree, self.generators, self.elements, marked_point=lam)
 
+    @property
+    def table(self) -> "ElementTable":
+        """Element indices and the memoized subgroup join, built on first use."""
+        if "table" not in self._cache:
+            self._cache["table"] = ElementTable(self.elements)
+        return self._cache["table"]  # type: ignore[return-value]
+
+
+class ElementTable:
+    """Indices of a group's sorted elements and a memoized subgroup join.
+
+    Element j is ``elements[j]``; the identity sorts first, so it is index
+    0.  A subgroup is an int bitmask over element indices: the trivial
+    group is 1 and the whole group is ``full``.  ``join(mask, j)`` is the
+    mask of the subgroup generated by the subgroup ``mask`` and element j.
+    A miss closes from the subgroup's own members only, so it costs
+    O(|<H, j>|) products, never O(|G|); each product (member, generator)
+    is computed once, on demand.
+    """
+
+    def __init__(self, elements: tuple[Perm, ...]):
+        self.elements = elements
+        self.index = {p: i for i, p in enumerate(elements)}
+        self.full = (1 << len(elements)) - 1
+        self.joins: dict[tuple[int, int], int] = {}
+        self.products: dict[int, int] = {}  # x * |G| + s -> index of x * s
+        # mask -> (generator indices, member indices) of each subgroup met,
+        # except G itself, whose joins never miss
+        self._subgroups: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {1: ((), (0,))}
+
+    def join(self, mask: int, j: int) -> int:
+        """Mask of the subgroup generated by the subgroup ``mask`` and element j."""
+        if mask >> j & 1:
+            return mask
+        key = (mask, j)
+        if key not in self.joins:
+            self.joins[key] = self._close(mask, j)
+        return self.joins[key]
+
+    def _close(self, mask: int, j: int) -> int:
+        gens, members = self._subgroups[mask]
+        gens += (j,)
+        n = len(self.elements)
+        elements, index, products = self.elements, self.index, self.products
+        seen = set(members)
+        # H is closed under its own generators, so only its products with
+        # j can leave it; the identity (members[0]) gives j itself
+        new = [j]
+        seen.add(j)
+        for x in members[1:]:
+            key = x * n + j
+            y = products.get(key)
+            if y is None:
+                # compose(elements[x], elements[j]); all elements share one degree
+                y = products[key] = index[tuple(map(elements[j].__getitem__, elements[x]))]
+            if y not in seen:
+                seen.add(y)
+                new.append(y)
+        for y in new:  # grows while it is walked
+            # Lagrange: a subgroup with more than |G|/2 elements is G
+            if len(seen) > n // 2:
+                return self.full
+            for s in gens:
+                key = y * n + s
+                z = products.get(key)
+                if z is None:
+                    z = products[key] = index[tuple(map(elements[s].__getitem__, elements[y]))]
+                if z not in seen:
+                    seen.add(z)
+                    new.append(z)
+        for y in new:
+            mask |= 1 << y
+        if len(members) == 1:
+            # <j> is cyclic with new[k-1] = j^k, and j^k generates it
+            # whenever k is prime to its order
+            for k, y in enumerate(new, 1):
+                if math.gcd(k, len(seen)) == 1:
+                    self.joins[1, y] = mask
+        self._subgroups.setdefault(mask, (gens, members + tuple(new)))
+        return mask
+
 
 def generate_group(gens, degree: int | None = None, *,
                    cap: int = DEFAULT_ORDER_CAP, marked_point: int = 0) -> PermGroup:
@@ -330,11 +410,19 @@ def generate_group(gens, degree: int | None = None, *,
 
 
 def generates(G: PermGroup, gens) -> bool:
-    """True when the permutations gens lie in G and generate all of it."""
-    gens = tuple(gens)
-    # the closure of a subset of G stays inside G, so the cap is never hit
-    return (all(g in G for g in gens)
-            and generate_group(gens, G.degree, cap=G.order).order == G.order)
+    """True when the permutations gens lie in G and generate all of it.
+
+    Folds the memoized join of ``G.table`` over the entries, starting
+    from the trivial subgroup.
+    """
+    table = G.table
+    mask = 1
+    for g in gens:
+        j = table.index.get(g)
+        if j is None:
+            return False
+        mask = table.join(mask, j)
+    return mask == table.full
 
 
 def subgroup_from_elements(degree: int, members, marked_point: int = 0) -> PermGroup:

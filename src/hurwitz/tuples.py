@@ -163,10 +163,16 @@ def enumerate_tuples(
 
     The search assigns the 2g + n - 1 free entries depth first in sorted
     element order and solves the last branch entry from the relation, so
-    the output order is the global total order.  The work cap counts
-    visited search-tree nodes (candidate entry assignments) and is
-    checked at every visit; the a-priori bound |G|^(2g+n-1) is checked up
-    front.  ``stats["nodes"]`` receives the visited node count.
+    the output order is the global total order.  Each node carries the
+    mask (over ``G.table`` element indices) of the subgroup its free
+    entries generate, extended by one memoized ``join`` per node.  The
+    last entry is a word in the free ones, so a leaf generates G exactly
+    when its mask is ``G.table.full``.  The work cap counts visited
+    search-tree nodes (candidate entry assignments) and is checked at
+    every visit; the a-priori bound |G|^(2g+n-1) is checked up front.
+    ``stats`` receives the visited node count (``"nodes"``), the number
+    of leaves reached (``"leaves"``) and the number of memoized joins of
+    the group's table (``"join_memo"``).
     """
     if branch_count < 1:
         raise ValueError("branch count must be at least 1")
@@ -195,6 +201,9 @@ def enumerate_tuples(
     chosen: list[Perm] = []
     used: dict[Perm, int] = {}
     nodes = 0
+    leaves = 0
+    table = G.table
+    join = table.join
 
     def class_ok(g: Perm) -> bool:
         if budget_need is None:
@@ -212,41 +221,46 @@ def enumerate_tuples(
             rep = G.class_of(g)
             used[rep] -= 1
 
-    def close(run: Perm) -> None:
-        last = inverse(run)
-        if last == ident or not class_ok(last):
+    def close(run: Perm, mask: int) -> None:
+        nonlocal leaves
+        leaves += 1
+        if mask != table.full:
             return
-        # last is a word in the chosen entries, so they alone generate the same group
-        if generates(G, chosen):
+        last = inverse(run)
+        if last != ident and class_ok(last):
             out.append(HurwitzTuple(tuple(chosen) + (last,), base_genus))
 
-    def walk(depth: int, run: Perm) -> None:
+    def walk(depth: int, run: Perm, mask: int) -> None:
         # ``depth`` counts fully assigned free slots; ``run`` is the
-        # relation product of everything committed so far.
+        # relation product of everything committed so far and ``mask``
+        # the subgroup the committed entries generate.
         nonlocal nodes
         if depth == free:
-            close(run)
+            close(run, mask)
             return
         is_branch = depth >= 2 * base_genus
         pending_handle = depth % 2 == 1 and not is_branch
-        for g in G.elements:
+        for j, g in enumerate(G.elements):
             if is_branch and (g == ident or not class_ok(g)):
                 continue
             nodes += 1
             if nodes > work_cap:
                 raise WorkCapExceeded(f"visited nodes exceed work cap {work_cap}")
             chosen.append(g)
+            sub = join(mask, j)
             if is_branch:
                 take(g)
-                walk(depth + 1, compose(run, g))
+                walk(depth + 1, compose(run, g), sub)
                 drop(g)
             elif pending_handle:
-                walk(depth + 1, compose(run, commutator(chosen[-2], g)))
+                walk(depth + 1, compose(run, commutator(chosen[-2], g)), sub)
             else:
-                walk(depth + 1, run)
+                walk(depth + 1, run, sub)
             chosen.pop()
 
-    walk(0, ident)
+    walk(0, ident, 1)
     if stats is not None:
         stats["nodes"] = nodes
+        stats["leaves"] = leaves
+        stats["join_memo"] = len(table.joins)
     return out

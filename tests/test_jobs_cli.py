@@ -204,6 +204,9 @@ def test_cache_round_trip(tmp_path):
     second = run_job(s)
     assert second["meta"]["cache"] == {"hits": 2, "misses": 0}
     assert comparison_payload(first) == comparison_payload(second)
+    # enumeration counters exist only on a cold run; S3 g0 n4 has 5^3 leaves
+    assert first["meta"]["leaves"] == 125 and first["meta"]["join_memo"] > 0
+    assert second["meta"]["leaves"] is None and second["meta"]["join_memo"] is None
 
 
 def test_cache_disabled(tmp_path):
@@ -288,6 +291,8 @@ BAD_ENTRIES = {
                         lambda meta, data: ({"count": 1}, _A + _A + _E + _E)),
     "relation": ("tuples", "relation",
                  lambda meta, data: ({"count": 1}, _A + _A + _A + _B)),
+    "not generating": ("tuples", "does not generate",
+                       lambda meta, data: ({"count": 1}, _A * 4)),
     "orbit count": ("components", "header says",
                     lambda meta, data: ({"orbits": meta["orbits"] + 1}, data)),
     "orbit order": ("components", "first appear",

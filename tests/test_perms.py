@@ -21,6 +21,7 @@ from hurwitz import (
     conjugate,
     cycle_type,
     cyclic_orbits,
+    enumerate_tuples,
     format_perm,
     generate_group,
     generates,
@@ -166,6 +167,28 @@ def test_generates(s3, c3):
     assert not generates(s3, [r]) and not generates(s3, [])
     # an entry outside the group is a plain False, not a cap error
     assert not generates(c3, [t, r])
+
+
+def test_generation_memo_stays_small_on_a_large_group():
+    # full product rows would hold |S7|^2 = 25,401,600 products
+    r, t = parse_perm("(1 2 3 4 5 6 7)", 7), parse_perm("(1 2)", 7)
+    s7 = generate_group([r, t])
+    assert enumerate_tuples(s7, 0, 2) == []
+    assert len(s7.table.products) < 20 * s7.order
+    assert generates(s7, [r, t])
+    assert len(s7.table.products) < 20 * s7.order
+
+
+def test_element_table_indices(s3):
+    table = s3.table
+    assert table is s3.table
+    assert table.elements[0] == identity(3)
+    assert all(table.index[p] == j for j, p in enumerate(s3.elements))
+    r = table.index[parse_perm("(1 2 3)", 3)]
+    c3_mask = table.join(1, r)
+    assert [j for j in range(6) if c3_mask >> j & 1] == sorted(
+        table.index[p] for p in o.o_closure([parse_perm("(1 2 3)", 3)]))
+    assert table.join(c3_mask, table.index[parse_perm("(1 2)", 3)]) == table.full
 
 
 def test_group_membership_and_iteration(s3):

@@ -2,6 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
+import oracles as o
+
 from hurwitz import (
     are_pointed_equivalent,
     branching_type_of,
@@ -13,6 +15,7 @@ from hurwitz import (
     enumerate_tuples,
     format_perm,
     generate_group,
+    generates,
     hurwitz_move,
     identity,
     inverse,
@@ -31,6 +34,8 @@ C2 = generate_group([parse_perm("(1 2)", 2)])
 S3 = generate_group([parse_perm("(1 2)", 3), parse_perm("(1 2 3)", 3)])
 C3 = generate_group([parse_perm("(1 2 3)", 3)])
 V4 = generate_group([parse_perm("(1 2)(3 4)", 4), parse_perm("(1 3)(2 4)", 4)])
+S4 = generate_group([parse_perm("(1 2)", 4), parse_perm("(1 2 3 4)", 4)])
+A5 = generate_group([parse_perm("(1 2 3)", 5), parse_perm("(1 2 3 4 5)", 5)])
 
 POOLS = [
     (G, g, n, enumerate_tuples(G, g, n))
@@ -250,3 +255,17 @@ def test_census_counts_multiply_along_fibers(data):
     N = normalizer_fixing_point(G)
     stab = sum(1 for s in N.elements if conjugate_branching_type(tau, s, G) == tau)
     assert c.tuple_count == c.pointed_count * stab
+
+
+@given(st.sampled_from([C2, S3, C3, V4, S4, A5]), st.data())
+def test_generates_matches_oracle_closure(G, data):
+    # lists of any length, order and repetition, the empty one included
+    gens = data.draw(st.lists(st.sampled_from(G.elements), max_size=4))
+    expected = bool(gens) and len(o.o_closure(gens)) == G.order
+    # the groups live for the whole module, so later calls hit the join memo
+    assert generates(G, gens) is expected
+    assert generates(G, gens) is expected
+    stranger = data.draw(
+        st.one_of(perms(G.degree), perms(G.degree + 1)).filter(lambda p: p not in G))
+    at = data.draw(st.integers(min_value=0, max_value=len(gens)))
+    assert generates(G, gens[:at] + [stranger] + gens[at:]) is False

@@ -143,7 +143,9 @@ def test_enumeration_matches_oracle(name, elems, d, g, n, request):
 def test_enumeration_counts_nodes(s3):
     stats = {}
     enumerate_tuples(s3, 0, 3, stats=stats)
-    assert stats["nodes"] > 0
+    # two free branch entries, each one of the five non-identity elements
+    assert (stats["nodes"], stats["leaves"]) == (5 + 5 * 5, 5 * 5)
+    assert stats["join_memo"] == len(s3.table.joins) > 0
 
 
 def test_work_cap_trips(s3):
