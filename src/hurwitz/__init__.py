@@ -77,7 +77,6 @@ from .classify import (
     classify_space,
     conjugate_tuple,
     count_space,
-    nu_fiber,
     pointed_class,
     relabel,
     unpointed_class,
@@ -98,7 +97,6 @@ from .covers import (
     fiber_genus,
     natural_model,
     ramification_profile,
-    regular_model,
     universal_fiber_report,
 )
 from .jobs import (

@@ -43,7 +43,7 @@ def conjugate_tuple(t: HurwitzTuple, s: Perm) -> HurwitzTuple:
         raise DegreeMismatch(f"tuple degree {t.degree} vs conjugator degree {len(s)}")
     sinv = inverse(s)
     return HurwitzTuple(
-        tuple(tuple(sinv[e[j]] for j in s) for e in t.entries), t.base_genus
+        tuple([tuple([sinv[e[j]] for j in s]) for e in t.entries]), t.base_genus
     )
 
 
@@ -130,17 +130,6 @@ def unpointed_class(t: HurwitzTuple, G: PermGroup) -> UnpointedClass:
     """The N_Sym(G)-conjugation class of t."""
     orbit = _orbit(t, normalizer_in_sym(G))
     return UnpointedClass(min(orbit), len(orbit))
-
-
-def nu_fiber(c: PointedClass, G: PermGroup) -> tuple[HurwitzTuple, ...]:
-    """The full pointed orbit over one class: exactly |N(lam0)| tuples."""
-    N = normalizer_fixing_point(G, c.marked_point)
-    orbit = _orbit(c.canonical, N)
-    if len(orbit) != N.order:
-        raise FreeActionViolated(
-            f"fiber of size {len(orbit)} under N(lam0) of order {N.order}"
-        )
-    return tuple(sorted(orbit))
 
 
 def relabel(t: HurwitzTuple, phi: Perm, G: PermGroup) -> tuple[HurwitzTuple, PermGroup]:

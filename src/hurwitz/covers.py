@@ -5,7 +5,7 @@ Three standard action models for a tuple valid in G:
 
   * natural: the entries act on the d points as given (the induced cover),
   * regular: every entry acts on G itself by right translation (the
-    Galois cover),
+    Galois cover); only its genus is computed, from element orders,
   * coset: entries act by right translation on the right cosets H\\G;
     with H the stabilizer of the marked point this is the quotient model
     of the induced cover, and the two are equivariantly isomorphic.
@@ -69,15 +69,6 @@ class ActionTuple:
 def natural_model(t: HurwitzTuple) -> ActionTuple:
     """The entries acting on the d points as given."""
     return ActionTuple(t, t.degree, t.entries)
-
-
-def regular_model(t: HurwitzTuple, G: PermGroup) -> ActionTuple:
-    """Entries act on the sorted element list of G by right translation."""
-    index = {g: i for i, g in enumerate(G.elements)}
-    actions = tuple(
-        tuple(index[compose(h, e)] for h in G.elements) for e in t.entries
-    )
-    return ActionTuple(t, G.order, actions)
 
 
 def coset_model(t: HurwitzTuple, G: PermGroup, H: PermGroup) -> ActionTuple:
@@ -186,8 +177,8 @@ def ramification_profile(t: HurwitzTuple) -> tuple[tuple[int, ...], ...]:
     return tuple(cycle_type(g) for g in t.branches)
 
 
-def _genus_from_cycle_types(cycle_types, domain_size: int, base_genus: int) -> int:
-    ram = sum(domain_size - len(ct) for ct in cycle_types)
+def _genus(ram: int, domain_size: int, base_genus: int) -> int:
+    """Riemann-Hurwitz genus from the total ramification sum_j sum (k - 1)."""
     val = domain_size * (2 * base_genus - 2) + ram
     if val % 2 != 0:
         raise ParityViolation(
@@ -212,9 +203,8 @@ def fiber_genus(t: HurwitzTuple, G: PermGroup, model: str = "induced",
         if not generates(G, t.entries):
             raise DisconnectedCover("galois action is not transitive")
         # right translation by g: |G|/ord(g) cycles of length ord(g)
-        return _genus_from_cycle_types(
-            [(k,) * (G.order // k) for k in map(perm_order, t.branches)], G.order, t.base_genus
-        )
+        n = G.order
+        return _genus(sum(n - n // k for k in map(perm_order, t.branches)), n, t.base_genus)
     if model == "induced":
         action = natural_model(t)
     elif model == "coset":
@@ -225,9 +215,8 @@ def fiber_genus(t: HurwitzTuple, G: PermGroup, model: str = "induced",
         raise ValueError(f"unknown model {model!r}")
     if not action.is_connected():
         raise DisconnectedCover(f"{model} action is not transitive")
-    return _genus_from_cycle_types(
-        [cycle_type(a) for a in action.branch_actions], action.domain_size, t.base_genus
-    )
+    n = action.domain_size
+    return _genus(sum(n - len(cycle_type(a)) for a in action.branch_actions), n, t.base_genus)
 
 
 @dataclass(frozen=True)
@@ -257,15 +246,28 @@ def cycle_type_multiset(t: HurwitzTuple) -> tuple[tuple[tuple[int, ...], int], .
 
 
 def cover_report(t: HurwitzTuple, G: PermGroup) -> CoverReport:
-    profiles = ramification_profile(t)
+    """The report of one tuple, read from the per-element data of ``G.table``;
+    it refuses what ``fiber_genus`` does, the induced model's cases first."""
+    table = G.table
+    ids = list(map(table.index.get, t.entries))
+    if None in ids or not table.generates(ids):
+        fiber_genus(t, G, "induced")
+        raise DisconnectedCover("galois action is not transitive")
+    if not G.is_transitive():  # the entries generate G, so act as G does
+        raise DisconnectedCover("induced action is not transitive")
+    branch = ids[2 * t.base_genus:]
+    profiles = tuple(map(table.cycle_types.__getitem__, branch))
+    d, n, k = t.degree, G.order, len(branch)
+    genus = _genus(d * k - sum(map(len, profiles)), d, t.base_genus)
+    orders = map(table.orders.__getitem__, branch)
     return CoverReport(
-        degree=t.degree,
+        degree=d,
         base_genus=t.base_genus,
         profiles=profiles,
-        ramification_point_counts=tuple(len(p) for p in profiles),
-        branching_type=cycle_type_multiset(t),
-        genus=fiber_genus(t, G, "induced"),
-        galois_genus=fiber_genus(t, G, "galois"),
+        ramification_point_counts=tuple(map(len, profiles)),
+        branching_type=tuple((p, profiles.count(p)) for p in sorted(set(profiles))),
+        genus=genus,
+        galois_genus=_genus(n * k - sum(map(n.__floordiv__, orders)), n, t.base_genus),
     )
 
 

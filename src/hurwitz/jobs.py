@@ -18,7 +18,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 from . import __version__
 from .cache import ResultCache
@@ -31,7 +31,7 @@ from .errors import (
     TypeMultiplicityMismatch,
 )
 from .moves import ComponentPartition, components
-from .perms import PermGroup, format_perm, generate_group, generates, identity, parse_perm
+from .perms import PermGroup, format_perm, generate_group, identity, parse_perm
 from .tuples import (
     BranchingType,
     HurwitzTuple,
@@ -234,8 +234,9 @@ def _spec_to_json(spec: JobSpec) -> dict:
     }
 
 
-def _type_to_json(bt: BranchingType) -> list:
-    return [[format_perm(rep), m] for rep, m in bt.entries]
+def _type_to_json(bt: BranchingType, group: PermGroup) -> list:
+    index, strings = group.table.index, group.table.strings
+    return [[strings[index[rep]], m] for rep, m in bt.entries]
 
 
 def _tuples_to_ints(tuples: list[HurwitzTuple] | tuple[HurwitzTuple, ...]) -> list[int]:
@@ -263,7 +264,8 @@ def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
         raise ValueError("cached payload has the wrong shape")
     if len(data) // width != meta.get("count"):
         raise ValueError(f"{len(data) // width} rows, header says {meta.get('count')}")
-    ident = identity(degree)
+    table = group.table
+    index, inv, first = table.index, table.inverses, 2 * base_genus
     out = []
     prev: list[int] = []
     for off in range(0, len(data), width):
@@ -272,14 +274,17 @@ def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
             raise ValueError("rows are not strictly increasing")
         prev = row
         entries = [tuple(row[k:k + degree]) for k in range(0, width, degree)]
-        if not all(e in group for e in entries):
+        ids = [index.get(e) for e in entries]
+        if None in ids:
             raise ValueError("an entry lies outside the group")
         t = tuple_from_entries(degree, base_genus, entries)
-        if ident in t.branches:
+        if 0 in ids[first:]:  # index 0 is the identity
             raise ValueError("a branch entry is the identity")
-        if t.total_product() != ident:
+        word = [s for a, b in zip(ids[0:first:2], ids[1:first:2])
+                for s in (a, b, inv[a], inv[b])] + ids[first:]  # [a, b] = a b a^-1 b^-1
+        if reduce(table.mul, word, 0) != 0:
             raise ValueError("a row violates the relation")
-        if not generates(group, entries):
+        if not table.generates(ids):
             raise ValueError("a row does not generate the group")
         if type_filter is not None and branching_type_of(t, group) != type_filter:
             raise ValueError("a row breaks the branching type")
@@ -346,13 +351,14 @@ def run_job(spec: JobSpec) -> dict:
     }
 
     census = cls.census
+    index, strings = group.table.index, group.table.strings
     classes_json = []
     for c in cls.pointed:
         report = universal_fiber_report(c, group)
         classes_json.append(
             {
-                "canonical": [format_perm(e) for e in c.canonical.entries],
-                "type": _type_to_json(branching_type_of(c.canonical, group)),
+                "canonical": [strings[index[e]] for e in c.canonical.entries],
+                "type": _type_to_json(branching_type_of(c.canonical, group), group),
                 "profiles": [list(p) for p in report.profiles],
                 "genus_induced": report.genus,
                 "genus_galois": report.galois_genus,
@@ -368,7 +374,7 @@ def run_job(spec: JobSpec) -> dict:
             "unpointed": census.unpointed_count,
             "by_type": [
                 {
-                    "type": _type_to_json(row.branching_type),
+                    "type": _type_to_json(row.branching_type, group),
                     "tuples": row.tuples,
                     "pointed": row.pointed,
                     "unpointed": row.unpointed,

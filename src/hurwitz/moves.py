@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import IndexOutOfRange, InternalInvariantViolation, OrbitCapExceeded
-from .perms import PermGroup, compose, inverse
+from .perms import ElementTable, PermGroup, compose, generate_group, inverse
 from .tuples import BranchingType, HurwitzTuple
 from .classify import SpaceClassification, classify_space
 
@@ -56,23 +56,17 @@ def braid_orbit(t: HurwitzTuple, *, orbit_cap: int = DEFAULT_ORBIT_CAP,
                 convention: Convention = "standard") -> tuple[HurwitzTuple, ...]:
     """Closure of one tuple under all elementary moves, both directions.
 
-    BFS in insertion order with the exact tuple as visited-set key;
-    the result is sorted in the global total order.
+    A one-seed run of the index-row BFS over the group the entries
+    generate, which moves never leave.  At most ``orbit_cap`` tuples,
+    the seed included; the result is sorted in the global total order.
     """
-    n = t.branch_count
-    seen = {t}
-    frontier = deque([t])
-    while frontier:
-        cur = frontier.popleft()
-        for i in range(1, n):
-            for inv in (False, True):
-                nxt = hurwitz_move(cur, i, inverse_move=inv, convention=convention)
-                if nxt not in seen:
-                    if len(seen) >= orbit_cap:
-                        raise OrbitCapExceeded(f"orbit exceeds cap {orbit_cap}")
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return tuple(sorted(seen))
+    table = generate_group(t.entries).table
+    seed = tuple(map(table.index.__getitem__, t.entries))
+    orbit_of, _ = _row_orbits(table, [seed], 2 * t.base_genus, convention,
+                              orbit_cap - 1, closed=False)
+    # index order is element order, so sorted rows are sorted tuples
+    return tuple(HurwitzTuple(tuple(map(table.elements.__getitem__, row)), t.base_genus)
+                 for row in sorted(orbit_of))
 
 
 Level = Literal["tuples", "pointed", "unpointed"]
@@ -93,30 +87,38 @@ class ComponentPartition:
     orbits: tuple[tuple[HurwitzTuple, ...], ...]
 
 
-def _move_orbits(tuples, branch_count: int, convention: Convention,
-                 orbit_cap: int) -> list[list[HurwitzTuple]]:
-    """Move orbits of a sorted tuple list, each sorted, ordered by minimum.
+def _row_orbits(table: ElementTable, rows, first: int, convention: Convention,
+                orbit_cap: int, *, closed: bool = True) -> tuple[dict, int]:
+    """Move orbits of index rows (branch slots from ``first``), seeded in
+    list order: each reached row's orbit number, and the orbit count.
 
-    Seeds are taken in list order, so each seed is the minimum of its
-    orbit.  ``orbit_cap`` bounds the tuples reached from all seeds.
+    ``orbit_cap`` bounds the rows reached by a move from all seeds.  When
+    ``closed`` the rows are a whole space and a move out of it is an
+    error; otherwise the row it reaches joins the orbit.
     """
-    orbit_of = dict.fromkeys(tuples, -1)
+    mul, inv = table.mul, table.inverses
+    orbit_of = dict.fromkeys(rows, -1)
+    outside = None if closed else -1
     count = 0
-    visited_total = 0
-    for seed in tuples:
+    reached = 0
+    for seed in rows:
         if orbit_of[seed] >= 0:
             continue
         orbit_of[seed] = count
         frontier = deque([seed])
         while frontier:
             cur = frontier.popleft()
-            for i in range(1, branch_count):
-                for inv in (False, True):
-                    nxt = hurwitz_move(cur, i, inverse_move=inv, convention=convention)
-                    label = orbit_of.get(nxt)
+            for k in range(first, len(cur) - 1):
+                a, b = cur[k], cur[k + 1]
+                # (a, b) -> (a b a^-1, a) and (b, b^-1 a b)
+                forward = cur[:k] + (mul(mul(a, b), inv[a]), a) + cur[k + 2:]
+                backward = cur[:k] + (b, mul(mul(inv[b], a), b)) + cur[k + 2:]
+                for nxt in ((forward, backward) if convention == "standard"
+                            else (backward, forward)):
+                    label = orbit_of.get(nxt, outside)
                     if label == -1:
-                        visited_total += 1
-                        if visited_total > orbit_cap:
+                        reached += 1
+                        if reached > orbit_cap:
                             raise OrbitCapExceeded(f"orbit closure exceeds cap {orbit_cap}")
                         orbit_of[nxt] = count
                         frontier.append(nxt)
@@ -124,10 +126,7 @@ def _move_orbits(tuples, branch_count: int, convention: Convention,
                         # moves must not leave the enumerated space
                         raise InternalInvariantViolation("orbit escaped the enumerated space")
         count += 1
-    orbits: list[list[HurwitzTuple]] = [[] for _ in range(count)]
-    for t in tuples:
-        orbits[orbit_of[t]].append(t)
-    return orbits
+    return orbit_of, count
 
 
 def _class_orbits(tuple_orbits, index: dict[HurwitzTuple, int],
@@ -168,7 +167,7 @@ def components(
 ) -> ComponentPartition:
     """Orbit partition of a whole space at the requested quotient level.
 
-    The BFS runs on tuples only; ``tuple_partition`` supplies its result
+    The BFS runs on tuple rows only; ``tuple_partition`` supplies its result
     precomputed.  Moves commute with conjugation, so the pointed and
     unpointed partitions are the images of the tuple orbits under the
     class maps of ``classification``.
@@ -183,7 +182,12 @@ def components(
         )
     cls = classification
     if tuple_partition is None:
-        orbits = _move_orbits(cls.tuples, branch_count, convention, orbit_cap)
+        index = G.table.index
+        rows = [tuple(map(index.__getitem__, t.entries)) for t in cls.tuples]
+        orbit_of, count = _row_orbits(G.table, rows, 2 * base_genus, convention, orbit_cap)
+        orbits = [[] for _ in range(count)]
+        for t, row in zip(cls.tuples, rows):  # sorted, so each orbit is sorted
+            orbits[orbit_of[row]].append(t)
     else:
         orbits = tuple_partition.orbits
     if level == "pointed":

@@ -18,6 +18,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CycleSyntaxError,
@@ -296,33 +297,70 @@ class PermGroup:
 
     @property
     def table(self) -> "ElementTable":
-        """Element indices and the memoized subgroup join, built on first use."""
+        """Element indices, per-element data and subgroup joins, built on first use."""
         if "table" not in self._cache:
             self._cache["table"] = ElementTable(self.elements)
         return self._cache["table"]  # type: ignore[return-value]
 
 
 class ElementTable:
-    """Indices of a group's sorted elements and a memoized subgroup join.
+    """Indices of a group's sorted elements, per-element data, memoized
+    products and a memoized subgroup join.
 
     Element j is ``elements[j]``; the identity sorts first, so it is index
-    0.  A subgroup is an int bitmask over element indices: the trivial
-    group is 1 and the whole group is ``full``.  ``join(mask, j)`` is the
-    mask of the subgroup generated by the subgroup ``mask`` and element j.
-    A miss closes from the subgroup's own members only, so it costs
-    O(|<H, j>|) products, never O(|G|); each product (member, generator)
-    is computed once, on demand.
+    0.  ``mul(x, s)`` is the index of x * s.  ``cycle_types``, ``orders``,
+    ``inverses`` (indices) and ``strings`` (cycle notation) are built on
+    first use.  A subgroup is an int bitmask over element indices: the
+    trivial group is 1 and the whole group is ``full``.  ``join(mask, j)``
+    is the mask of the subgroup generated by the subgroup ``mask`` and
+    element j, and ``generates(ids)`` folds it.  A miss closes from the
+    subgroup's own members only, so it costs O(|<H, j>|) products, never
+    O(|G|).
     """
 
     def __init__(self, elements: tuple[Perm, ...]):
         self.elements = elements
         self.index = {p: i for i, p in enumerate(elements)}
-        self.full = (1 << len(elements)) - 1
+        self.size = len(elements)
+        self.full = (1 << self.size) - 1
         self.joins: dict[tuple[int, int], int] = {}
         self.products: dict[int, int] = {}  # x * |G| + s -> index of x * s
         # mask -> (generator indices, member indices) of each subgroup met,
         # except G itself, whose joins never miss
         self._subgroups: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {1: ((), (0,))}
+
+    def mul(self, x: int, s: int) -> int:
+        """Index of the product x * s (x first), memoized."""
+        key = x * self.size + s
+        try:
+            return self.products[key]
+        except KeyError:  # compose(p, q) without the degree check
+            p, q = self.elements[x], self.elements[s]
+            y = self.products[key] = self.index[tuple(map(q.__getitem__, p))]
+            return y
+
+    @cached_property
+    def cycle_types(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(cycle_type, self.elements))
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        return tuple(math.lcm(*ct) for ct in self.cycle_types)
+
+    @cached_property
+    def inverses(self) -> tuple[int, ...]:
+        return tuple(self.index[inverse(p)] for p in self.elements)
+
+    @cached_property
+    def strings(self) -> tuple[str, ...]:
+        return tuple(map(format_perm, self.elements))
+
+    def generates(self, ids) -> bool:
+        """True when the elements with indices ids generate the whole group."""
+        mask = 1
+        for j in ids:
+            mask = self.join(mask, j)
+        return mask == self.full
 
     def join(self, mask: int, j: int) -> int:
         """Mask of the subgroup generated by the subgroup ``mask`` and element j."""
@@ -336,19 +374,14 @@ class ElementTable:
     def _close(self, mask: int, j: int) -> int:
         gens, members = self._subgroups[mask]
         gens += (j,)
-        n = len(self.elements)
-        elements, index, products = self.elements, self.index, self.products
+        n, mul = self.size, self.mul
         seen = set(members)
         # H is closed under its own generators, so only its products with
         # j can leave it; the identity (members[0]) gives j itself
         new = [j]
         seen.add(j)
         for x in members[1:]:
-            key = x * n + j
-            y = products.get(key)
-            if y is None:
-                # compose(elements[x], elements[j]); all elements share one degree
-                y = products[key] = index[tuple(map(elements[j].__getitem__, elements[x]))]
+            y = mul(x, j)
             if y not in seen:
                 seen.add(y)
                 new.append(y)
@@ -357,10 +390,7 @@ class ElementTable:
             if len(seen) > n // 2:
                 return self.full
             for s in gens:
-                key = y * n + s
-                z = products.get(key)
-                if z is None:
-                    z = products[key] = index[tuple(map(elements[s].__getitem__, elements[y]))]
+                z = mul(y, s)
                 if z not in seen:
                     seen.add(z)
                     new.append(z)
@@ -415,14 +445,8 @@ def generates(G: PermGroup, gens) -> bool:
     Folds the memoized join of ``G.table`` over the entries, starting
     from the trivial subgroup.
     """
-    table = G.table
-    mask = 1
-    for g in gens:
-        j = table.index.get(g)
-        if j is None:
-            return False
-        mask = table.join(mask, j)
-    return mask == table.full
+    ids = [G.table.index.get(g) for g in gens]
+    return None not in ids and G.table.generates(ids)
 
 
 def subgroup_from_elements(degree: int, members, marked_point: int = 0) -> PermGroup:

@@ -4,7 +4,8 @@ Everything in this module is deliberately self-contained: it has its own
 permutation arithmetic and uses only exhaustive loops (full cartesian
 products with post-hoc filtering, plain BFS closures).  Nothing here
 imports the package under test, so agreement between the two is evidence
-rather than tautology.
+rather than tautology.  ``regular_model`` and ``nu_fiber`` take the
+package's tuples, groups and classes as input and read only their fields.
 
 Conventions match the library: a permutation of degree d is a tuple of
 images on {0, ..., d-1}, acting on the right, with words composed left to
@@ -12,6 +13,7 @@ right (lam . (p*q) == (lam . p) . q).
 """
 
 from collections import deque
+from dataclasses import dataclass, replace
 from itertools import product
 
 
@@ -252,6 +254,46 @@ def o_genus(domain_actions_branches, domain_size, base_genus):
     val = domain_size * (2 * base_genus - 2) + ram
     assert val % 2 == 0 and val >= -2
     return val // 2 + 1
+
+
+@dataclass(frozen=True)
+class RegularAction:
+    """Entry actions on the sorted elements of a group (the Galois cover).
+
+    Same attributes as the package's action tuples, so its intertwiner
+    search accepts it.
+    """
+
+    domain_size: int
+    actions: tuple
+    base_genus: int
+
+    @property
+    def branch_actions(self):
+        return self.actions[2 * self.base_genus:]
+
+    def is_connected(self):
+        return self.domain_size > 0 and o_is_transitive(self.actions, self.domain_size)
+
+
+def regular_model(t, G):
+    """Entries of t acting on the sorted elements of G by right translation."""
+    elements = sorted(G.elements)
+    index = {g: i for i, g in enumerate(elements)}
+    actions = tuple(
+        tuple(index[o_compose(h, e)] for h in elements) for e in t.entries
+    )
+    return RegularAction(len(elements), actions, t.base_genus)
+
+
+def nu_fiber(c, G):
+    """The conjugates of a pointed class's canonical tuple by every element
+    of the brute-force normalizer fixing its marked point, sorted."""
+    lam = c.marked_point
+    fixed = [s for s in o_normalizer(list(G.elements), G.degree) if s[lam] == lam]
+    t = c.canonical
+    return tuple(sorted({replace(t, entries=tuple(o_conjugate(e, s) for e in t.entries))
+                         for s in fixed}))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracles as o
+from oracles import nu_fiber
 from hurwitz import (
     DegreeMismatch,
     FreeActionViolated,
@@ -21,7 +22,6 @@ from hurwitz import (
     normalizer_in_sym,
     parse_perm,
     pointed_class,
-    nu_fiber,
     relabel,
     unpointed_class,
     validate_tuple,

@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 
 import oracles as o
+from oracles import nu_fiber, regular_model
 from hurwitz import (
+    CoverReport,
     DegreeMismatch,
     DisconnectedCover,
     DomainSizeMismatch,
@@ -23,11 +25,9 @@ from hurwitz import (
     identity,
     natural_model,
     normalizer_in_sym,
-    nu_fiber,
     parse_perm,
     perm_order,
     ramification_profile,
-    regular_model,
     subgroup_from_elements,
     tuple_from_entries,
     universal_fiber_report,
@@ -147,6 +147,8 @@ def test_disconnected_refused():
     t = tuple_from_entries(4, 0, [a, a])
     with pytest.raises(DisconnectedCover):
         fiber_genus(t, G, "induced")
+    with pytest.raises(DisconnectedCover):
+        cover_report(t, G)
 
 
 def test_parity_violation():
@@ -158,6 +160,18 @@ def test_parity_violation():
     t = tuple_from_entries(3, 0, [parse_perm("(1 2 3)", 3)])
     with pytest.raises(ParityViolation):
         fiber_genus(t, C3, "induced")
+    with pytest.raises(ParityViolation):
+        cover_report(t, C3)
+
+
+def test_cover_report_refuses_in_fiber_genus_order(s3):
+    # one 3-cycle generates only C3 < S3, but the induced model's parity
+    # refusal comes before the Galois model's disconnection
+    t = tuple_from_entries(3, 0, [parse_perm("(1 2 3)", 3)])
+    with pytest.raises(ParityViolation):
+        fiber_genus(t, s3, "induced")
+    with pytest.raises(ParityViolation):
+        cover_report(t, s3)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +288,25 @@ def test_cover_report_fields(s3):
     assert rep.branching_type == (((2, 1), 4),)
     assert rep.genus == 0
     assert rep.galois_genus == 1
+
+
+def test_cover_report_equals_perm_level_report(matrix, twisted, s3, c2):
+    # cover_report reads the group's element tables; the reference below
+    # walks the cycles of every entry
+    spaces = [(G, g, n, None) for G, g, n in matrix] + twisted
+    spaces += [(s3, 1, 2, None), (c2, 1, 2, None)]
+    for G, g, n, bt in spaces:
+        for t in enumerate_tuples(G, g, n, bt):
+            profiles = ramification_profile(t)
+            assert cover_report(t, G) == CoverReport(
+                degree=t.degree,
+                base_genus=g,
+                profiles=profiles,
+                ramification_point_counts=tuple(len(p) for p in profiles),
+                branching_type=cycle_type_multiset(t),
+                genus=fiber_genus(t, G, "induced"),
+                galois_genus=fiber_genus(t, G, "galois"),
+            ), (G, g, n, t)
 
 
 def test_cycle_type_multiset_invariant_under_normalizer(matrix):

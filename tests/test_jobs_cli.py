@@ -317,6 +317,22 @@ def test_cache_rejects_digest_valid_bad_entry(tmp_path, defect):
     assert run_job(s)["meta"]["cache"] == {"hits": 2, "misses": 0}
 
 
+def test_cache_relation_check_covers_the_handles(tmp_path):
+    # S3 g1 n2: every stored row passes, and (1 2), (1 3), (1 2), (1 2)
+    # fails only through its commutator [(1 2), (1 3)], a 3-cycle
+    s = dataclasses.replace(parse_job(json.dumps(spec_of({"base_genus": 1, "branch_points": 2}))),
+                            cache_dir=str(tmp_path))
+    first = run_job(s)
+    warm = run_job(s)
+    assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
+    assert comparison_payload(first) == comparison_payload(warm)
+    cache = ResultCache(str(tmp_path))
+    cache.store(cache_key(s), "tuples", {"count": 1}, _A + _B + _A + _A)
+    with pytest.warns(CacheCorrupt, match="relation"):
+        again = run_job(s)
+    assert comparison_payload(first) == comparison_payload(again)
+
+
 def test_cache_rejects_rows_of_another_type(tmp_path):
     # the unfiltered space stored under the key of its transpositions-only
     # subspace passes every other row check

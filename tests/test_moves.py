@@ -129,6 +129,21 @@ def test_orbit_cap(s3):
         braid_orbit(t, orbit_cap=3)
 
 
+def test_orbit_caps_bound_the_tuples_reached(s3):
+    # braid_orbit admits at most orbit_cap tuples, the seed included;
+    # components admits orbit_cap tuples reached by a move, seeds excluded
+    t = enumerate_tuples(s3, 0, 4)[0]
+    size = len(braid_orbit(t))
+    assert len(braid_orbit(t, orbit_cap=size)) == size
+    with pytest.raises(OrbitCapExceeded):
+        braid_orbit(t, orbit_cap=size - 1)
+    part = components(s3, 0, 4)
+    reached = sum(part.orbit_sizes) - len(part.orbit_sizes)
+    assert components(s3, 0, 4, orbit_cap=reached) == part
+    with pytest.raises(OrbitCapExceeded):
+        components(s3, 0, 4, orbit_cap=reached - 1)
+
+
 # ---------------------------------------------------------------------------
 # component partitions
 
@@ -225,6 +240,23 @@ def test_class_components_match_oracle(matrix, twisted):
             part = components(G, g, n, bt, level=level)
             got = [[as_pair(t) for t in orb] for orb in part.orbits]
             assert got == o.class_move_partition(tuples, conj), (G, g, n, bt, level)
+
+
+def test_components_match_oracle_on_twisted_and_genus_one(matrix, twisted, s3):
+    # the handle slots come first in every row, so the moved slots are offset
+    spaces = twisted + [(G, g, n, None) for G, g, n in matrix if g >= 1]
+    spaces += [(s3, 1, 2, None), (s3, 1, 3, None)]
+    for G, g, n, bt in spaces:
+        tuples = o.brute_force_tuples(list(G.elements), G.degree, g, n)
+        if bt is not None:
+            # the twisted groups are abelian: a class is one element
+            branches = sorted(rep for rep, m in bt.entries for _ in range(m))
+            tuples = [t for t in tuples if sorted(t[1]) == branches]
+        expected = o.move_partition(tuples)
+        for convention in ("standard", "mirrored"):
+            part = components(G, g, n, bt, convention=convention)
+            got = [[as_pair(t) for t in orb] for orb in part.orbits]
+            assert got == expected, (G, g, n, bt, convention)
 
 
 def test_components_accepts_tuple_partition(s3):

@@ -191,6 +191,25 @@ def test_element_table_indices(s3):
     assert table.join(c3_mask, table.index[parse_perm("(1 2)", 3)]) == table.full
 
 
+def test_element_table_per_element_data(c2, s3, c3, v4):
+    a5 = generate_group([parse_perm("(1 2 3 4 5)", 5), parse_perm("(1 2 3)", 5)])
+    for G in (c2, s3, c3, v4, a5):
+        table = G.table
+        elems = table.elements
+        for j, p in enumerate(elems):
+            assert table.cycle_types[j] == tuple(o.o_ram_partition(p))
+            assert table.orders[j] == perm_order(p)
+            assert elems[table.inverses[j]] == o.o_inverse(p)
+            assert table.strings[j] == format_perm(p)
+            assert parse_perm(table.strings[j], G.degree) == p
+        for x, s in [(x, s) for x in range(len(elems)) for s in range(len(elems))][::7]:
+            assert elems[table.mul(x, s)] == o.o_compose(elems[x], elems[s])
+            # one memo: the product is stored under the key that _close reads
+            assert table.products[x * len(elems) + s] == table.mul(x, s)
+        assert table.cycle_types is table.cycle_types  # built once
+        assert len(table.products) <= len(elems) ** 2
+
+
 def test_group_membership_and_iteration(s3):
     assert parse_perm("(1 3)", 3) in s3
     assert (0, 1) not in s3
