@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import InputError
 
-_MAGIC = b"HWZCACH1"
+_MAGIC = b"HWZCACH2"  # version 2: tuples entries hold element indices, not images
 
 
 class CacheCorrupt(Warning):

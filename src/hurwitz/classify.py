@@ -10,15 +10,21 @@ Two levels of identification:
     centralizer of G in the symmetric group is trivial.
 
 Canonical class representatives are orbit minima in the global total
-order.  ``classify_space`` finds every class of a space with one sweep
-over its sorted tuples, expanding one orbit per class.
+order.  ``classify_space`` works on rows of element indices: one sweep
+over the sorted rows expands one N(lam0)-orbit per pointed class, each
+conjugation an index map per entry.  The unpointed classes come from the
+pointed ones.  G is transitive and normal in N_Sym(G), so by the Frattini
+argument N_Sym(G) = N(lam0) T, where T holds one element of G moving lam0
+to each point.  The N_Sym(G)-orbit of t is then the union of the pointed
+classes of r t r^-1 over r in T; its minimum is the canonical of its
+first pointed class, and its size is the union's size times |N(lam0)|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DegreeMismatch, FreeActionViolated
+from .errors import DegreeMismatch, FreeActionViolated, InternalInvariantViolation
 from .perms import (
     Perm,
     PermGroup,
@@ -31,9 +37,7 @@ from .perms import (
 from .tuples import (
     BranchingType,
     HurwitzTuple,
-    branching_type_of,
     enumerate_tuples,
-    conjugate_branching_type,
 )
 
 
@@ -216,51 +220,22 @@ class SpaceClassification:
 
     @property
     def census(self) -> SpaceCensus:
-        by_type: dict[BranchingType, list[int]] = {}
-
-        def row(bt: BranchingType) -> list[int]:
-            return by_type.setdefault(bt, [0, 0, 0])
-
-        G = self.group
-        for t in self.tuples:
-            row(branching_type_of(t, G))[0] += 1
-        for c in self.pointed:
-            row(branching_type_of(c.canonical, G))[1] += 1
-        for u in self.unpointed:
-            row(branching_type_of(u.canonical, G))[2] += 1
-        rows = tuple(
-            TypeCensus(bt, a, b, c)
-            for bt, (a, b, c) in sorted(by_type.items(), key=lambda kv: kv[0].entries)
-        )
+        table = self.group.table
+        index, classes, first = table.index, table.classes, 2 * self.base_genus
+        by_key: dict[tuple[int, ...], list[int]] = {}  # sorted class indices -> counts
+        for col, ts in enumerate((self.tuples, [c.canonical for c in self.pointed],
+                                  [u.canonical for u in self.unpointed])):
+            for t in ts:
+                key = tuple(sorted([classes[index[e]] for e in t.entries[first:]]))
+                by_key.setdefault(key, [0, 0, 0])[col] += 1
+        rows = []
+        for key, counts in by_key.items():
+            pairs = tuple((table.elements[c], key.count(c)) for c in sorted(set(key)))
+            rows.append(TypeCensus(BranchingType(pairs), *counts))
+        rows.sort(key=lambda r: r.branching_type.entries)
         return SpaceCensus(
-            len(self.tuples), len(self.pointed), len(self.unpointed), rows
+            len(self.tuples), len(self.pointed), len(self.unpointed), tuple(rows)
         )
-
-
-def _sweep(tuples, conjugators) -> tuple[list[tuple[HurwitzTuple, int]],
-                                         dict[HurwitzTuple, int]]:
-    """The conjugation orbits met by a tuple list, one expansion per orbit.
-
-    Returns (orbit minimum, orbit size) per orbit, sorted by minimum, and
-    the position in that list of every tuple's orbit.  The minimum is
-    taken over the whole orbit, which a twisted type filter can carry
-    outside the list.
-    """
-    index = dict.fromkeys(tuples, -1)
-    found: list[tuple[HurwitzTuple, int]] = []
-    for t in tuples:
-        if index[t] >= 0:
-            continue
-        orbit = _orbit(t, conjugators)
-        for member in orbit:
-            if member in index:
-                index[member] = len(found)
-        found.append((min(orbit), len(orbit)))
-    order = sorted(range(len(found)), key=lambda k: found[k][0])
-    rank = [0] * len(found)
-    for r, k in enumerate(order):
-        rank[k] = r
-    return [found[k] for k in order], {t: rank[k] for t, k in index.items()}
 
 
 def classify_space(
@@ -275,13 +250,14 @@ def classify_space(
     """Enumerate a space and classify it at both quotient levels.
 
     ``tuples`` short-circuits the enumeration (used by the cache layer);
-    like the output of ``enumerate_tuples`` it must be sorted.  Each
-    pointed orbit must have |N(lam0)| members (the action is free).  The
-    fiber identity  #tuples = #pointed * |Stab_N(lam0)(type)|  is
-    enforced: conjugation twists a branching type classwise, so the
-    stabilizer of the type filter (all of N(lam0) when there is no
-    filter, or when the filter is conjugation-stable) is what acts freely
-    on the filtered tuple set.
+    like the output of ``enumerate_tuples`` it must be sorted, and it
+    must hold every conjugate of a listed tuple by G.  Each pointed orbit
+    must have |N(lam0)| members (the action is free).  The fiber
+    identity  #tuples = #pointed * |Stab_N(lam0)(type)|  is enforced:
+    conjugation twists a branching type classwise, so the stabilizer of
+    the type filter (all of N(lam0) when there is no filter, or when the
+    filter is conjugation-stable) is what acts freely on the filtered
+    tuple set.
     """
     from .tuples import DEFAULT_WORK_CAP
 
@@ -295,31 +271,75 @@ def classify_space(
                 work_cap=DEFAULT_WORK_CAP if work_cap is None else work_cap,
             )
         )
+    table = G.table
     N = normalizer_fixing_point(G)
-    pointed_orbits, pointed_index = _sweep(tuples, N)
-    for _, size in pointed_orbits:
-        if size != N.order:
-            raise FreeActionViolated(
-                f"orbit of size {size} under N(lam0) of order {N.order}"
-            )
-    unpointed_orbits, unpointed_index = _sweep(tuples, normalizer_in_sym(G))
-    pointed = tuple(PointedClass(c, G.marked_point) for c, _ in pointed_orbits)
-    unpointed = tuple(UnpointedClass(c, size) for c, size in unpointed_orbits)
+    try:
+        rows = [tuple(map(table.index.__getitem__, t.entries)) for t in tuples]
+    except KeyError:
+        raise InternalInvariantViolation("a listed tuple has an entry outside G") from None
+    position = {row: k for k, row in enumerate(rows)}
+    # images[e][k]: index of the conjugate of element e by the k-th element of N(lam0)
+    images = list(zip(*map(table.conjugation, N.elements)))
 
-    if type_filter is None:
-        stab_order = N.order
-    else:
-        stab_order = sum(
-            1 for s in N if conjugate_branching_type(type_filter, s, G) == type_filter
-        )
-    if len(tuples) != len(pointed) * stab_order:
+    # pointed: one orbit expansion per class; the minimum is taken over the
+    # whole orbit, which a twisted type filter can carry outside the list
+    pointed_of = [-1] * len(rows)
+    found: list[tuple[tuple[int, ...], int]] = []  # (orbit minimum, first listed member)
+    for k, row in enumerate(rows):
+        if pointed_of[k] >= 0:
+            continue
+        orbit = set(zip(*map(images.__getitem__, row)))
+        if len(orbit) != N.order:
+            raise FreeActionViolated(
+                f"orbit of size {len(orbit)} under N(lam0) of order {N.order}"
+            )
+        for member in orbit:
+            if member in position:
+                pointed_of[position[member]] = len(found)
+        found.append((min(orbit), k))
+    stab_order = N.order
+    if type_filter is not None:
+        fil = sorted(table.index[G.class_of(rep)] for rep, m in type_filter.entries
+                     for _ in range(m))
+        stab_order = sum(sorted(map(table.classes.__getitem__, col)) == fil
+                         for col in zip(*map(images.__getitem__, fil)))
+    if len(tuples) != len(found) * stab_order:
         raise FreeActionViolated(
-            f"{len(tuples)} tuples vs {len(pointed)} pointed classes "
+            f"{len(tuples)} tuples vs {len(found)} pointed classes "
             f"with type-stabilizer order {stab_order}"
         )
+    order = sorted(range(len(found)), key=lambda c: found[c][0])
+    rank = {c: r for r, c in enumerate(order)}
+    pointed_of = [rank[c] for c in pointed_of]
+    pointed = tuple(PointedClass(
+        tuples[position[m]] if m in position
+        else HurwitzTuple(tuple(map(table.elements.__getitem__, m)), base_genus),
+        G.marked_point) for m, _ in map(found.__getitem__, order))
+
+    # unpointed: N_Sym(G) = N(lam0) T, T the minimal element of G moving lam0
+    # to each point (the last write wins); a class is the union of the pointed
+    # classes of r t r^-1 over r in T, and its first pointed class is its minimum
+    movers = {g[G.marked_point]: g for g in reversed(G.elements)}
+    moved = list(zip(*map(table.conjugation, movers.values())))
+    unpointed_of = [-1] * len(pointed)
+    unpointed: list[UnpointedClass] = []
+    for c in range(len(pointed)):
+        if unpointed_of[c] >= 0:
+            continue
+        union = set()
+        for member in zip(*map(moved.__getitem__, rows[found[order[c]][1]])):
+            if member not in position:
+                raise InternalInvariantViolation(
+                    "a conjugate by G of a listed tuple is not listed")
+            union.add(pointed_of[position[member]])
+        for u in union:
+            unpointed_of[u] = len(unpointed)
+        unpointed.append(UnpointedClass(pointed[c].canonical, len(union) * N.order))
+
     return SpaceClassification(
         G, base_genus, branch_count, type_filter, tuples, pointed, unpointed,
-        pointed_index, unpointed_index,
+        dict(zip(tuples, pointed_of)),
+        {t: unpointed_of[c] for t, c in zip(tuples, pointed_of)},
     )
 
 

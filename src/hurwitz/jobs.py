@@ -38,7 +38,6 @@ from .tuples import (
     branching_type_of,
     enumerate_tuples,
     make_branching_type,
-    tuple_from_entries,
 )
 
 FORMAT_VERSION = 1
@@ -239,12 +238,10 @@ def _type_to_json(bt: BranchingType, group: PermGroup) -> list:
     return [[strings[index[rep]], m] for rep, m in bt.entries]
 
 
-def _tuples_to_ints(tuples: list[HurwitzTuple] | tuple[HurwitzTuple, ...]) -> list[int]:
-    flat: list[int] = []
-    for t in tuples:
-        for e in t.entries:
-            flat.extend(e)
-    return flat
+def _tuples_to_ints(group: PermGroup, tuples) -> list[int]:
+    """One element index per entry, rows in tuple order."""
+    index = group.table.index
+    return [index[e] for t in tuples for e in t.entries]
 
 
 def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
@@ -252,40 +249,37 @@ def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
                       meta: dict, data: list[int]) -> tuple[HurwitzTuple, ...]:
     """Decode a cached tuples entry, checking that it could be the space.
 
-    Raises ValueError unless there are ``meta["count"]`` rows in strictly
-    increasing order, every entry lies in the group, no branch entry is
-    the identity, every row satisfies the relation and generates the
-    group and, under a type filter, every row has exactly that branching
-    type.
+    Raises ValueError unless there are ``meta["count"]`` rows of element
+    indices in strictly increasing order, every index lies in the group,
+    no branch entry is the identity, every row satisfies the relation and
+    generates the group and, under a type filter, every row has exactly
+    that branching type.
     """
-    degree = group.degree
-    width = (2 * base_genus + branch_points) * degree
+    width = 2 * base_genus + branch_points
     if len(data) % width != 0:
         raise ValueError("cached payload has the wrong shape")
     if len(data) // width != meta.get("count"):
         raise ValueError(f"{len(data) // width} rows, header says {meta.get('count')}")
     table = group.table
-    index, inv, first = table.index, table.inverses, 2 * base_genus
+    if data and not 0 <= min(data) <= max(data) < table.size:
+        raise ValueError("an entry lies outside the group")
+    inv, first = table.inverses, 2 * base_genus
     out = []
     prev: list[int] = []
     for off in range(0, len(data), width):
         row = data[off:off + width]
-        if row <= prev:
+        if row <= prev:  # index order is element order
             raise ValueError("rows are not strictly increasing")
         prev = row
-        entries = [tuple(row[k:k + degree]) for k in range(0, width, degree)]
-        ids = [index.get(e) for e in entries]
-        if None in ids:
-            raise ValueError("an entry lies outside the group")
-        t = tuple_from_entries(degree, base_genus, entries)
-        if 0 in ids[first:]:  # index 0 is the identity
+        if 0 in row[first:]:  # index 0 is the identity
             raise ValueError("a branch entry is the identity")
-        word = [s for a, b in zip(ids[0:first:2], ids[1:first:2])
-                for s in (a, b, inv[a], inv[b])] + ids[first:]  # [a, b] = a b a^-1 b^-1
+        word = [s for a, b in zip(row[0:first:2], row[1:first:2])
+                for s in (a, b, inv[a], inv[b])] + row[first:]  # [a, b] = a b a^-1 b^-1
         if reduce(table.mul, word, 0) != 0:
             raise ValueError("a row violates the relation")
-        if not table.generates(ids):
+        if not table.generates(row):
             raise ValueError("a row does not generate the group")
+        t = HurwitzTuple(tuple(map(table.elements.__getitem__, row)), base_genus)
         if type_filter is not None and branching_type_of(t, group) != type_filter:
             raise ValueError("a row breaks the branching type")
         out.append(t)
@@ -321,7 +315,7 @@ def run_job(spec: JobSpec) -> dict:
             key,
             "tuples",
             {"count": len(tuples)},
-            _tuples_to_ints(tuples),
+            _tuples_to_ints(group, tuples),
         )
 
     cls = classify_space(

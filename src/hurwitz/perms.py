@@ -259,34 +259,18 @@ class PermGroup:
         return sub
 
     def conjugacy_classes(self) -> tuple[ConjClass, ...]:
-        if "classes" in self._cache:
-            return self._cache["classes"]  # type: ignore[return-value]
-        unseen = set(self.elements)
-        classes = []
-        # elements are sorted, so the first unseen member of a class is minimal
-        for rep in self.elements:
-            if rep not in unseen:
-                continue
-            members = {conjugate(rep, h) for h in self.elements}
-            unseen -= members
-            classes.append(ConjClass(rep, tuple(sorted(members))))
-        out = tuple(classes)
-        self._cache["classes"] = out
-        return out
+        if "classes" not in self._cache:
+            members: dict[int, list[Perm]] = {}  # first met in order of the minimal member
+            for p, c in zip(self.elements, self.table.classes):
+                members.setdefault(c, []).append(p)
+            self._cache["classes"] = tuple(
+                ConjClass(self.elements[c], tuple(ms)) for c, ms in members.items())
+        return self._cache["classes"]  # type: ignore[return-value]
 
     def class_of(self, p: Perm) -> Perm:
         """Canonical representative of the conjugacy class of p."""
         try:
-            table = self._cache["class_table"]
-        except KeyError:
-            table = {
-                member: cls.representative
-                for cls in self.conjugacy_classes()
-                for member in cls.members
-            }
-            self._cache["class_table"] = table
-        try:
-            return table[p]  # type: ignore[index]
+            return self.elements[self.table.classes[self.table.index[p]]]
         except KeyError:
             raise DegreeMismatch(f"{format_perm(p)} is not an element of the group") from None
 
@@ -309,9 +293,11 @@ class ElementTable:
 
     Element j is ``elements[j]``; the identity sorts first, so it is index
     0.  ``mul(x, s)`` is the index of x * s.  ``cycle_types``, ``orders``,
-    ``inverses`` (indices) and ``strings`` (cycle notation) are built on
-    first use.  A subgroup is an int bitmask over element indices: the
-    trivial group is 1 and the whole group is ``full``.  ``join(mask, j)``
+    ``inverses`` (indices), ``classes`` (the index of each element's
+    minimal conjugate) and ``strings`` (cycle notation) are built on first
+    use; ``conjugation(s)`` maps indices through conjugation by s.  A
+    subgroup is an int bitmask over element indices: the trivial group is
+    1 and the whole group is ``full``.  ``join(mask, j)``
     is the mask of the subgroup generated by the subgroup ``mask`` and
     element j, and ``generates(ids)`` folds it.  A miss closes from the
     subgroup's own members only, so it costs O(|<H, j>|) products, never
@@ -350,6 +336,20 @@ class ElementTable:
     @cached_property
     def inverses(self) -> tuple[int, ...]:
         return tuple(self.index[inverse(p)] for p in self.elements)
+
+    @cached_property
+    def classes(self) -> tuple[int, ...]:
+        out = [-1] * self.size
+        for j, p in enumerate(self.elements):
+            if out[j] < 0:  # sorted, so the first member met is the minimum
+                for h in self.elements:
+                    out[self.index[conjugate(p, h)]] = j
+        return tuple(out)
+
+    def conjugation(self, s: Perm) -> tuple[int, ...]:
+        """Entry j is the index of s * elements[j] * s^-1; s must normalize the group."""
+        sinv, index = inverse(s), self.index
+        return tuple([index[tuple([sinv[p[k]] for k in s])] for p in self.elements])
 
     @cached_property
     def strings(self) -> tuple[str, ...]:

@@ -25,7 +25,6 @@ from .perms import (
     format_perm,
     generates,
     identity,
-    inverse,
 )
 
 DEFAULT_WORK_CAP = 10**8
@@ -163,9 +162,11 @@ def enumerate_tuples(
 
     The search assigns the 2g + n - 1 free entries depth first in sorted
     element order and solves the last branch entry from the relation, so
-    the output order is the global total order.  Each node carries the
-    mask (over ``G.table`` element indices) of the subgroup its free
-    entries generate, extended by one memoized ``join`` per node.  The
+    the output order is the global total order.  Entries are ``G.table``
+    element indices until a leaf is kept.  Each node carries the index of
+    its relation product, extended by ``mul``, and the mask of the
+    subgroup its free entries generate, extended by one memoized ``join``.
+    A type filter is a budget of branch entries per class index.  The
     last entry is a word in the free ones, so a leaf generates G exactly
     when its mask is ``G.table.full``.  The work cap counts visited
     search-tree nodes (candidate entry assignments) and is checked at
@@ -186,79 +187,63 @@ def enumerate_tuples(
     if not G.is_transitive():
         return []
 
-    ident = identity(G.degree)
-    budget_need: dict[Perm, int] | None = None
-    if type_filter is not None:
-        budget_need = {rep: m for rep, m in type_filter.entries}
-        if type_filter.size != branch_count:
-            return []
-
+    if type_filter is not None and type_filter.size != branch_count:
+        return []
     if free == 0:
         # n = 1, g = 0: the single branch entry would have to be the identity.
         return []
 
+    table = G.table
+    mul, inv, join, classes, elements = (
+        table.mul, table.inverses, table.join, table.classes, table.elements)
+    # branch entries still allowed, by class index; a class absent from
+    # the filter gets none, and without a filter no class runs out
+    left = [branch_count] * table.size
+    if type_filter is not None:
+        left = [0] * table.size
+        for rep, m in type_filter.entries:
+            if rep in table.index:
+                left[table.index[rep]] += m
     out: list[HurwitzTuple] = []
-    chosen: list[Perm] = []
-    used: dict[Perm, int] = {}
+    chosen: list[int] = []
     nodes = 0
     leaves = 0
-    table = G.table
-    join = table.join
 
-    def class_ok(g: Perm) -> bool:
-        if budget_need is None:
-            return True
-        rep = G.class_of(g)
-        return used.get(rep, 0) < budget_need.get(rep, 0)
-
-    def take(g: Perm) -> None:
-        if budget_need is not None:
-            rep = G.class_of(g)
-            used[rep] = used.get(rep, 0) + 1
-
-    def drop(g: Perm) -> None:
-        if budget_need is not None:
-            rep = G.class_of(g)
-            used[rep] -= 1
-
-    def close(run: Perm, mask: int) -> None:
-        nonlocal leaves
-        leaves += 1
-        if mask != table.full:
-            return
-        last = inverse(run)
-        if last != ident and class_ok(last):
-            out.append(HurwitzTuple(tuple(chosen) + (last,), base_genus))
-
-    def walk(depth: int, run: Perm, mask: int) -> None:
-        # ``depth`` counts fully assigned free slots; ``run`` is the
-        # relation product of everything committed so far and ``mask``
-        # the subgroup the committed entries generate.
-        nonlocal nodes
+    def walk(depth: int, run: int, mask: int) -> None:
+        # ``depth`` counts fully assigned free slots; ``run`` is the index
+        # of the relation product of everything committed so far and
+        # ``mask`` the subgroup the committed entries generate.
+        nonlocal nodes, leaves
         if depth == free:
-            close(run, mask)
+            leaves += 1
+            last = inv[run]
+            if mask == table.full and last != 0 and left[classes[last]]:
+                out.append(HurwitzTuple(
+                    tuple([elements[j] for j in chosen]) + (elements[last],), base_genus))
             return
         is_branch = depth >= 2 * base_genus
-        pending_handle = depth % 2 == 1 and not is_branch
-        for j, g in enumerate(G.elements):
-            if is_branch and (g == ident or not class_ok(g)):
+        if depth % 2 == 1 and not is_branch:  # b_i: run * [a_i, b_i]
+            a = chosen[-1]
+            run_a, a_inv = mul(run, a), inv[a]
+        for j in range(1 if is_branch else 0, table.size):  # index 0 is the identity
+            if is_branch and not left[classes[j]]:
                 continue
             nodes += 1
             if nodes > work_cap:
                 raise WorkCapExceeded(f"visited nodes exceed work cap {work_cap}")
-            chosen.append(g)
+            chosen.append(j)
             sub = join(mask, j)
             if is_branch:
-                take(g)
-                walk(depth + 1, compose(run, g), sub)
-                drop(g)
-            elif pending_handle:
-                walk(depth + 1, compose(run, commutator(chosen[-2], g)), sub)
+                left[classes[j]] -= 1
+                walk(depth + 1, mul(run, j), sub)
+                left[classes[j]] += 1
+            elif depth % 2 == 1:
+                walk(depth + 1, mul(mul(mul(run_a, j), a_inv), inv[j]), sub)
             else:
                 walk(depth + 1, run, sub)
             chosen.pop()
 
-    walk(0, ident, 1)
+    walk(0, 0, 1)
     if stats is not None:
         stats["nodes"] = nodes
         stats["leaves"] = leaves

@@ -9,14 +9,17 @@ from oracles import nu_fiber
 from hurwitz import (
     DegreeMismatch,
     FreeActionViolated,
+    InternalInvariantViolation,
     are_cover_equivalent,
     are_pointed_equivalent,
+    branching_type_of,
     centralizer_in_sym,
     change_marked_point,
     classify_space,
     conjugate_tuple,
     count_space,
     enumerate_tuples,
+    generate_group,
     make_branching_type,
     normalizer_fixing_point,
     normalizer_in_sym,
@@ -99,13 +102,21 @@ def test_typed_censuses(s3, c3, v4):
     assert (c.tuple_count, c.pointed_count, c.unpointed_count) == (6, 1, 1)
 
 
-def test_by_type_rows_partition_classes(matrix):
-    for G, g, n in matrix:
-        cls = classify_space(G, g, n)
+def test_by_type_rows_partition_classes(matrix, twisted):
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted:
+        cls = classify_space(G, g, n, bt)
         rows = cls.census.by_type
         assert sum(r.tuples for r in rows) == cls.census.tuple_count
         assert sum(r.pointed for r in rows) == cls.census.pointed_count
         assert sum(r.unpointed for r in rows) == cls.census.unpointed_count
+        # each row counts the tuples and canonicals of exactly its type
+        counts = {}
+        for col, ts in enumerate((cls.tuples, [c.canonical for c in cls.pointed],
+                                  [u.canonical for u in cls.unpointed])):
+            for t in ts:
+                counts.setdefault(branching_type_of(t, G), [0, 0, 0])[col] += 1
+        assert [(r.branching_type, r.tuples, r.pointed, r.unpointed) for r in rows] == sorted(
+            ((key, *c) for key, c in counts.items()), key=lambda row: row[0].entries)
 
 
 def test_by_type_twisting_rows(c3):
@@ -120,13 +131,44 @@ def test_by_type_twisting_rows(c3):
     }
 
 
+def regular_c2_cubed():
+    """C2^3 acting on itself (degree 8): |N_Sym| = |AGL(3, 2)| = 1344, |Z| = 8."""
+    return generate_group([tuple(x ^ bit for x in range(8)) for bit in (1, 2, 4)])
+
+
 def test_sweep_index_matches_class_functions(matrix, twisted):
-    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted:
+    c2_cubed = regular_c2_cubed()
+    spaces = [(G, g, n, None) for G, g, n in matrix] + twisted + [(c2_cubed, 0, 5, None)]
+    for G, g, n, bt in spaces:
         cls = classify_space(G, g, n, bt)
         assert set(cls.pointed_index) == set(cls.unpointed_index) == set(cls.tuples)
+        # pointed_class(t) == c exactly when t lies in the N(lam0)-orbit of
+        # c's canonical, and unpointed_class is constant on that orbit
+        orbits, unpointed = {}, {}
         for t in cls.tuples:
-            assert cls.pointed[cls.pointed_index[t]] == pointed_class(t, G)
-            assert cls.unpointed[cls.unpointed_index[t]] == unpointed_class(t, G)
+            c = cls.pointed[cls.pointed_index[t]]
+            if c not in orbits:
+                assert pointed_class(c.canonical, G) == c
+                orbits[c] = {conjugate_tuple(c.canonical, s) for s in normalizer_fixing_point(G)}
+                unpointed[c] = unpointed_class(c.canonical, G)
+            assert t in orbits[c]
+            assert cls.unpointed[cls.unpointed_index[t]] == unpointed[c]
+    census = cls.census
+    assert (census.tuple_count, census.pointed_count, census.unpointed_count) == (1680, 10, 10)
+    # the centralizer C2^3 fixes every tuple, so each orbit has |N_Sym|/|Z| members
+    assert (normalizer_in_sym(c2_cubed).order, centralizer_in_sym(c2_cubed).order) == (1344, 8)
+    assert all(u.orbit_size == 1344 // 8 for u in cls.unpointed)
+
+
+def test_classify_rejects_a_list_missing_conjugates_by_g(s3):
+    # one pointed class of S3 g0 n4 passes the fiber check (2 = 1 * |N(lam0)|),
+    # but its conjugates by the elements of G moving the marked point are missing
+    cls = classify_space(s3, 0, 4)
+    one = tuple(t for t in cls.tuples if cls.pointed_index[t] == 0)
+    assert len(one) == 2
+    with pytest.raises(InternalInvariantViolation, match="not listed") as exc:
+        classify_space(s3, 0, 4, tuples=one)
+    assert not isinstance(exc.value, FreeActionViolated)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Job documents, reports, result cache, and the command-line surface."""
 
 import dataclasses
+import hashlib
 import json
+import struct
 import subprocess
 import sys
+from array import array
 
 import pytest
 from click.testing import CliRunner
@@ -19,11 +22,13 @@ from hurwitz import (
     WorkCapExceeded,
     cache_key,
     comparison_payload,
+    enumerate_tuples,
     parse_job,
     report_to_json,
     run_job,
 )
 from hurwitz.cache import _encode
+from hurwitz.jobs import build_group
 from hurwitz.cli import main
 
 
@@ -277,16 +282,18 @@ def test_cache_leaves_only_entries(tmp_path):
     ]
 
 
-# 0-based images of (1 2), (1 3) and the identity in S3; a GOOD row is
-# four entries of three points.
-_A, _B, _E = [1, 0, 2], [2, 1, 0], [0, 1, 2]
+# element indices of (1 2), (1 3) and the identity among the sorted
+# elements of S3; a GOOD row is four indices.
+_A, _B, _E = [2], [5], [0]
 BAD_ENTRIES = {
     "row count": ("tuples", "header says",
                   lambda meta, data: ({"count": meta["count"] + 1}, data)),
     "row order": ("tuples", "strictly increasing",
-                  lambda meta, data: (meta, data[12:24] + data[:12] + data[24:])),
+                  lambda meta, data: (meta, data[4:8] + data[:4] + data[8:])),
     "outside group": ("tuples", "outside the group",
-                      lambda meta, data: ({"count": 1}, [0, 0, 0] * 4)),
+                      lambda meta, data: ({"count": 1}, _A + _A + _A + [6])),
+    "negative index": ("tuples", "outside the group",
+                       lambda meta, data: ({"count": 1}, [-1] + _A + _A + _A)),
     "identity branch": ("tuples", "identity",
                         lambda meta, data: ({"count": 1}, _A + _A + _E + _E)),
     "relation": ("tuples", "relation",
@@ -331,6 +338,25 @@ def test_cache_relation_check_covers_the_handles(tmp_path):
     with pytest.warns(CacheCorrupt, match="relation"):
         again = run_job(s)
     assert comparison_payload(first) == comparison_payload(again)
+
+
+def test_cache_recomputes_a_first_format_entry(tmp_path):
+    # HWZCACH1 stored the d images of every entry, not its element index
+    s = dataclasses.replace(parse_job(json.dumps(GOOD)), cache_dir=str(tmp_path))
+    key = cache_key(s)
+    ts = enumerate_tuples(build_group(s)[0], 0, 4)
+    head = json.dumps({"key": key, "kind": "tuples", "meta": {"count": len(ts)}},
+                      sort_keys=True, separators=(",", ":")).encode()
+    images = array("q", [x for t in ts for e in t.entries for x in e]).tobytes()
+    body = b"HWZCACH1" + struct.pack(">I", len(head)) + head + images
+    path = tmp_path / f"{key}.tuples.bin"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.warns(CacheCorrupt, match="bad magic"):
+        doc = run_job(s)
+    assert doc["meta"]["cache"] == {"hits": 0, "misses": 2}
+    assert doc["census"]["tuples"] == len(ts) == 96
+    assert path.read_bytes().startswith(b"HWZCACH2")
+    assert comparison_payload(doc) == comparison_payload(run_job(s))
 
 
 def test_cache_rejects_rows_of_another_type(tmp_path):

@@ -202,11 +202,17 @@ def test_element_table_per_element_data(c2, s3, c3, v4):
             assert elems[table.inverses[j]] == o.o_inverse(p)
             assert table.strings[j] == format_perm(p)
             assert parse_perm(table.strings[j], G.degree) == p
+            # class index: the index of the minimal conjugate
+            assert elems[table.classes[j]] == min(o.o_conjugate(p, h) for h in elems)
+        for s in o.o_normalizer(elems, G.degree):
+            assert [elems[y] for y in table.conjugation(s)] == [
+                o.o_conjugate(p, s) for p in elems]
         for x, s in [(x, s) for x in range(len(elems)) for s in range(len(elems))][::7]:
             assert elems[table.mul(x, s)] == o.o_compose(elems[x], elems[s])
             # one memo: the product is stored under the key that _close reads
             assert table.products[x * len(elems) + s] == table.mul(x, s)
         assert table.cycle_types is table.cycle_types  # built once
+        assert table.classes is table.classes
         assert len(table.products) <= len(elems) ** 2
 
 

@@ -13,6 +13,7 @@ from hurwitz import (
     branching_type_of,
     conjugate_branching_type,
     enumerate_tuples,
+    generate_group,
     identity,
     make_branching_type,
     parse_perm,
@@ -217,6 +218,17 @@ def test_type_filter_restricts_enumeration(s3):
     assert len(sub) == 24
     assert set(sub) <= set(full)
     assert all(branching_type_of(t, s3) == bt for t in sub)
+    # types of several classes: no class may be used past its multiplicity
+    s4 = generate_group([parse_perm("(1 2 3 4)", 4), parse_perm("(1 2)", 4)])
+    for G, g, n, pairs in [
+        (s3, 0, 4, [("(1 2)", 2), ("(1 2 3)", 2)]),
+        (s3, 1, 3, [("(1 2)", 2), ("(1 2 3)", 1)]),
+        (s4, 0, 4, [("(1 2)", 2), ("(1 2 3)", 1), ("(1 2)(3 4)", 1)]),
+    ]:
+        bt = make_branching_type(G, [(parse_perm(e, G.degree), m) for e, m in pairs])
+        sub = enumerate_tuples(G, g, n, bt)
+        assert sub
+        assert sub == [t for t in enumerate_tuples(G, g, n) if branching_type_of(t, G) == bt]
 
 
 def test_type_filter_of_wrong_size_is_empty(s3):
