@@ -23,8 +23,9 @@ first pointed class, and its size is the union's size times |N(lam0)|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import DegreeMismatch, FreeActionViolated, InternalInvariantViolation
+from .errors import DegreeMismatch, FreeActionViolated, InternalInvariantViolation, PointOutOfRange
 from .perms import (
     Perm,
     PermGroup,
@@ -160,6 +161,8 @@ def change_marked_point(c: PointedClass, lam1: int, G: PermGroup) -> PointedClas
     between the two quotient sets.
     """
     lam0 = c.marked_point
+    if not 0 <= lam1 < G.degree:
+        raise PointOutOfRange(f"point {lam1} out of range for degree {G.degree}")
     if lam1 == lam0:
         return c
     movers = [g for g in G.elements if g[lam0] == lam1]
@@ -204,8 +207,11 @@ class SpaceCensus:
 class SpaceClassification:
     """Everything the census and the reports need about one space.
 
-    ``pointed_index`` and ``unpointed_index`` map every tuple to the
-    position of its class in ``pointed`` and ``unpointed``.
+    ``rows[k]`` is ``tuples[k]`` as a row of ``group.table`` element
+    indices; ``pointed_of[k]`` and ``unpointed_of[k]`` are the positions
+    of its classes in ``pointed`` and ``unpointed``.  ``pointed_index``
+    and ``unpointed_index`` are the same maps keyed by tuple, built when
+    first read.
     """
 
     group: PermGroup
@@ -215,18 +221,29 @@ class SpaceClassification:
     tuples: tuple[HurwitzTuple, ...]
     pointed: tuple[PointedClass, ...]
     unpointed: tuple[UnpointedClass, ...]
-    pointed_index: dict[HurwitzTuple, int] = field(compare=False, repr=False)
-    unpointed_index: dict[HurwitzTuple, int] = field(compare=False, repr=False)
+    rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    pointed_of: tuple[int, ...] = field(compare=False, repr=False)
+    unpointed_of: tuple[int, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def pointed_index(self) -> dict[HurwitzTuple, int]:
+        return dict(zip(self.tuples, self.pointed_of))
+
+    @cached_property
+    def unpointed_index(self) -> dict[HurwitzTuple, int]:
+        return dict(zip(self.tuples, self.unpointed_of))
 
     @property
     def census(self) -> SpaceCensus:
         table = self.group.table
         index, classes, first = table.index, table.classes, 2 * self.base_genus
         by_key: dict[tuple[int, ...], list[int]] = {}  # sorted class indices -> counts
-        for col, ts in enumerate((self.tuples, [c.canonical for c in self.pointed],
-                                  [u.canonical for u in self.unpointed])):
-            for t in ts:
-                key = tuple(sorted([classes[index[e]] for e in t.entries[first:]]))
+        # a twisted type filter can carry a canonical outside the listed rows
+        canonicals = [[[index[e] for e in c.canonical.entries] for c in cs]
+                      for cs in (self.pointed, self.unpointed)]
+        for col, members in enumerate((self.rows, *canonicals)):
+            for row in members:
+                key = tuple(sorted([classes[j] for j in row[first:]]))
                 by_key.setdefault(key, [0, 0, 0])[col] += 1
         rows = []
         for key, counts in by_key.items():
@@ -274,7 +291,7 @@ def classify_space(
     table = G.table
     N = normalizer_fixing_point(G)
     try:
-        rows = [tuple(map(table.index.__getitem__, t.entries)) for t in tuples]
+        rows = tuple([tuple(map(table.index.__getitem__, t.entries)) for t in tuples])
     except KeyError:
         raise InternalInvariantViolation("a listed tuple has an entry outside G") from None
     position = {row: k for k, row in enumerate(rows)}
@@ -338,8 +355,7 @@ def classify_space(
 
     return SpaceClassification(
         G, base_genus, branch_count, type_filter, tuples, pointed, unpointed,
-        dict(zip(tuples, pointed_of)),
-        {t: unpointed_of[c] for t, c in zip(tuples, pointed_of)},
+        rows, tuple(pointed_of), tuple(map(unpointed_of.__getitem__, pointed_of)),
     )
 
 

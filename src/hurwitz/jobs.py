@@ -19,6 +19,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import chain
 
 from . import __version__
 from .cache import ResultCache
@@ -35,7 +36,6 @@ from .perms import PermGroup, format_perm, generate_group, identity, parse_perm
 from .tuples import (
     BranchingType,
     HurwitzTuple,
-    branching_type_of,
     enumerate_tuples,
     make_branching_type,
 )
@@ -233,17 +233,6 @@ def _spec_to_json(spec: JobSpec) -> dict:
     }
 
 
-def _type_to_json(bt: BranchingType, group: PermGroup) -> list:
-    index, strings = group.table.index, group.table.strings
-    return [[strings[index[rep]], m] for rep, m in bt.entries]
-
-
-def _tuples_to_ints(group: PermGroup, tuples) -> list[int]:
-    """One element index per entry, rows in tuple order."""
-    index = group.table.index
-    return [index[e] for t in tuples for e in t.entries]
-
-
 def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
                       type_filter: BranchingType | None,
                       meta: dict, data: list[int]) -> tuple[HurwitzTuple, ...]:
@@ -263,7 +252,9 @@ def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
     table = group.table
     if data and not 0 <= min(data) <= max(data) < table.size:
         raise ValueError("an entry lies outside the group")
-    inv, first = table.inverses, 2 * base_genus
+    inv, classes, first = table.inverses, table.classes, 2 * base_genus
+    want = None if type_filter is None else sorted(  # sorted class indices
+        classes[table.index[rep]] for rep, m in type_filter.entries for _ in range(m))
     out = []
     prev: list[int] = []
     for off in range(0, len(data), width):
@@ -279,10 +270,9 @@ def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
             raise ValueError("a row violates the relation")
         if not table.generates(row):
             raise ValueError("a row does not generate the group")
-        t = HurwitzTuple(tuple(map(table.elements.__getitem__, row)), base_genus)
-        if type_filter is not None and branching_type_of(t, group) != type_filter:
+        if want is not None and sorted(map(classes.__getitem__, row[first:])) != want:
             raise ValueError("a row breaks the branching type")
-        out.append(t)
+        out.append(HurwitzTuple(tuple(map(table.elements.__getitem__, row)), base_genus))
     return tuple(out)
 
 
@@ -300,7 +290,8 @@ def run_job(spec: JobSpec) -> dict:
 
     tuples = cache.load(key, "tuples", partial(
         _tuples_from_ints, group, spec.base_genus, spec.branch_points, type_filter))
-    if tuples is None:
+    cached = tuples is not None
+    if not cached:
         tuples = tuple(
             enumerate_tuples(
                 group,
@@ -311,48 +302,37 @@ def run_job(spec: JobSpec) -> dict:
                 stats=stats,
             )
         )
-        cache.store(
-            key,
-            "tuples",
-            {"count": len(tuples)},
-            _tuples_to_ints(group, tuples),
-        )
 
     cls = classify_space(
         group, spec.base_genus, spec.branch_points, type_filter, tuples=tuples
     )
+    if not cached:
+        cache.store(key, "tuples", {"count": len(cls.rows)}, list(chain.from_iterable(cls.rows)))
 
-    def compute_components(level: str, part: ComponentPartition | None) -> ComponentPartition:
-        return components(
-            group,
-            spec.base_genus,
-            spec.branch_points,
-            type_filter,
-            level=level,  # type: ignore[arg-type]
-            orbit_cap=spec.caps.orbit,
-            classification=cls,
-            tuple_partition=part,
-        )
-
+    compute_components = partial(components, group, spec.base_genus, spec.branch_points,
+                                 type_filter, orbit_cap=spec.caps.orbit, classification=cls)
     part_tuples = cache.load(key, "components", partial(_partition_from_assignment, cls))
     if part_tuples is None:
-        part_tuples = compute_components("tuples", None)
-        _store_partition(cache, key, cls, part_tuples)
+        part_tuples = compute_components(level="tuples")
+        cache.store(key, "components", {"orbits": len(part_tuples.orbits)},
+                    list(part_tuples.orbit_of))
     parts = {
         "tuples": part_tuples,
-        "pointed": compute_components("pointed", part_tuples),
-        "unpointed": compute_components("unpointed", part_tuples),
+        "pointed": compute_components(level="pointed", tuple_partition=part_tuples),
+        "unpointed": compute_components(level="unpointed", tuple_partition=part_tuples),
     }
 
     census = cls.census
-    index, strings = group.table.index, group.table.strings
+    index, strings, classes = group.table.index, group.table.strings, group.table.classes
     classes_json = []
     for c in cls.pointed:
         report = universal_fiber_report(c, group)
+        row = [index[e] for e in c.canonical.entries]
+        branch = sorted([classes[j] for j in row[2 * spec.base_genus:]])
         classes_json.append(
             {
-                "canonical": [strings[index[e]] for e in c.canonical.entries],
-                "type": _type_to_json(branching_type_of(c.canonical, group), group),
+                "canonical": [strings[j] for j in row],
+                "type": [[strings[k], branch.count(k)] for k in sorted(set(branch))],
                 "profiles": [list(p) for p in report.profiles],
                 "genus_induced": report.genus,
                 "genus_galois": report.galois_genus,
@@ -368,7 +348,7 @@ def run_job(spec: JobSpec) -> dict:
             "unpointed": census.unpointed_count,
             "by_type": [
                 {
-                    "type": _type_to_json(row.branching_type, group),
+                    "type": [[strings[index[rep]], m] for rep, m in row.branching_type.entries],
                     "tuples": row.tuples,
                     "pointed": row.pointed,
                     "unpointed": row.unpointed,
@@ -395,13 +375,6 @@ def run_job(spec: JobSpec) -> dict:
     return doc
 
 
-def _store_partition(cache: ResultCache, key: str, cls: SpaceClassification,
-                     part: ComponentPartition) -> None:
-    orbit_of = {t: k for k, orbit in enumerate(part.orbits) for t in orbit}
-    assignment = [orbit_of[t] for t in cls.tuples]
-    cache.store(key, "components", {"orbits": len(part.orbits)}, assignment)
-
-
 def _partition_from_assignment(cls: SpaceClassification, meta: dict,
                                assignment: list[int]) -> ComponentPartition:
     """Rebuild the tuple-level partition from a cached assignment array.
@@ -426,6 +399,7 @@ def _partition_from_assignment(cls: SpaceClassification, meta: dict,
         exact=cls.base_genus == 0,
         orbit_sizes=tuple(len(o) for o in orbits),
         orbits=tuple(tuple(o) for o in orbits),
+        orbit_of=tuple(assignment),
     )
 
 

@@ -17,7 +17,7 @@ is an upper bound).  Results carry an ``exact`` flag accordingly.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 from .errors import IndexOutOfRange, InternalInvariantViolation, OrbitCapExceeded
@@ -78,13 +78,16 @@ class ComponentPartition:
 
     ``orbit_sizes`` lists one size per orbit, ordered by each orbit's
     minimal member; ``exact`` is false for genus >= 1 where the partition
-    is only a refinement of the true components.
+    is only a refinement of the true components.  At the tuples level
+    ``orbit_of[k]`` is the orbit of the classification's ``rows[k]``
+    (empty at the class levels).
     """
 
     level: Level
     exact: bool
     orbit_sizes: tuple[int, ...]
     orbits: tuple[tuple[HurwitzTuple, ...], ...]
+    orbit_of: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 def _row_orbits(table: ElementTable, rows, first: int, convention: Convention,
@@ -129,18 +132,20 @@ def _row_orbits(table: ElementTable, rows, first: int, convention: Convention,
     return orbit_of, count
 
 
-def _class_orbits(tuple_orbits, index: dict[HurwitzTuple, int],
-                  classes) -> list[tuple[HurwitzTuple, ...]]:
-    """Move orbits of the classes: the images of the tuple orbits.
+def _class_orbits(orbit_of, class_of, classes) -> list[tuple[HurwitzTuple, ...]]:
+    """Move orbits of the classes: the images of the tuple orbits, read
+    from the orbit and the class of each row.
 
     Moves commute with conjugation, so two tuple orbits have equal or
     disjoint class images.  Orbits hold canonical representatives and are
     ordered by minimum, like the tuple level.
     """
+    images: dict[int, set[int]] = {}  # tuple orbit -> its classes
+    for k, c in zip(orbit_of, class_of):
+        images.setdefault(k, set()).add(c)
     label = [-1] * len(classes)
     parts: list[list[int]] = []
-    for orbit in tuple_orbits:
-        image = sorted({index[t] for t in orbit})
+    for image in map(sorted, images.values()):
         k = label[image[0]]
         if k < 0 and all(label[c] < 0 for c in image):
             for c in image:
@@ -167,10 +172,10 @@ def components(
 ) -> ComponentPartition:
     """Orbit partition of a whole space at the requested quotient level.
 
-    The BFS runs on tuple rows only; ``tuple_partition`` supplies its result
-    precomputed.  Moves commute with conjugation, so the pointed and
-    unpointed partitions are the images of the tuple orbits under the
-    class maps of ``classification``.
+    The BFS runs on the classification's rows only; ``tuple_partition``
+    supplies its result precomputed, one orbit id per row.  Moves commute
+    with conjugation, so the pointed and unpointed partitions are the
+    images of the tuple orbits under the class maps of ``classification``.
     """
     if level not in ("tuples", "pointed", "unpointed"):
         raise ValueError(f"unknown level {level!r}")
@@ -182,21 +187,24 @@ def components(
         )
     cls = classification
     if tuple_partition is None:
-        index = G.table.index
-        rows = [tuple(map(index.__getitem__, t.entries)) for t in cls.tuples]
-        orbit_of, count = _row_orbits(G.table, rows, 2 * base_genus, convention, orbit_cap)
-        orbits = [[] for _ in range(count)]
-        for t, row in zip(cls.tuples, rows):  # sorted, so each orbit is sorted
-            orbits[orbit_of[row]].append(t)
+        labels, count = _row_orbits(G.table, cls.rows, 2 * base_genus, convention, orbit_cap)
+        orbit_of = tuple(labels.values())  # a closed search adds no row, so in row order
     else:
-        orbits = tuple_partition.orbits
-    if level == "pointed":
-        orbits = _class_orbits(orbits, cls.pointed_index, cls.pointed)
-    elif level == "unpointed":
-        orbits = _class_orbits(orbits, cls.unpointed_index, cls.unpointed)
+        orbit_of, count = tuple_partition.orbit_of, len(tuple_partition.orbits)
+        if len(orbit_of) != len(cls.rows):
+            raise ValueError("tuple_partition must have one orbit id per row of the space")
+    if level == "tuples":
+        orbits = [[] for _ in range(count)]
+        for t, k in zip(cls.tuples, orbit_of):  # sorted, so each orbit is sorted
+            orbits[k].append(t)
+    else:
+        class_of, classes = ((cls.pointed_of, cls.pointed) if level == "pointed"
+                             else (cls.unpointed_of, cls.unpointed))
+        orbits = _class_orbits(orbit_of, class_of, classes)
     return ComponentPartition(
         level=level,
         exact=base_genus == 0,
         orbit_sizes=tuple(len(p) for p in orbits),
         orbits=tuple(tuple(p) for p in orbits),
+        orbit_of=orbit_of if level == "tuples" else (),
     )

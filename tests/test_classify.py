@@ -10,6 +10,7 @@ from hurwitz import (
     DegreeMismatch,
     FreeActionViolated,
     InternalInvariantViolation,
+    PointOutOfRange,
     are_cover_equivalent,
     are_pointed_equivalent,
     branching_type_of,
@@ -142,6 +143,13 @@ def test_sweep_index_matches_class_functions(matrix, twisted):
     for G, g, n, bt in spaces:
         cls = classify_space(G, g, n, bt)
         assert set(cls.pointed_index) == set(cls.unpointed_index) == set(cls.tuples)
+        # rows[k] is tuples[k] in element indices, and the tuple-keyed
+        # views agree with the per-row class ids
+        assert len(cls.rows) == len(cls.pointed_of) == len(cls.unpointed_of) == len(cls.tuples)
+        for k, t in enumerate(cls.tuples):
+            assert cls.rows[k] == tuple(G.table.index[e] for e in t.entries)
+            assert cls.pointed_index[t] == cls.pointed_of[k]
+            assert cls.unpointed_index[t] == cls.unpointed_of[k]
         # pointed_class(t) == c exactly when t lies in the N(lam0)-orbit of
         # c's canonical, and unpointed_class is constant on that orbit
         orbits, unpointed = {}, {}
@@ -288,6 +296,14 @@ def test_change_marked_point_bijection(s3):
 def test_change_marked_point_identity(s3):
     c = classify_space(s3, 0, 3).pointed[0]
     assert change_marked_point(c, 0, s3) == c
+
+
+def test_change_marked_point_rejects_a_point_out_of_range(s3):
+    # the same error as point_stabilizer, not the intransitivity one
+    c = classify_space(s3, 0, 3).pointed[0]
+    for lam1 in (7, -1):
+        with pytest.raises(PointOutOfRange, match="out of range"):
+            change_marked_point(c, lam1, s3)
 
 
 def test_relabel_preserves_structure(matrix):

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from hurwitz import (
     CacheCorrupt,
+    HurwitzTuple,
     InputError,
     InternalInvariantViolation,
     IntransitiveGroup,
@@ -322,6 +323,22 @@ def test_cache_rejects_digest_valid_bad_entry(tmp_path, defect):
     assert second["meta"]["cache"]["misses"] >= 1
     assert comparison_payload(first) == comparison_payload(second)
     assert run_job(s)["meta"]["cache"] == {"hits": 2, "misses": 0}
+
+
+@pytest.mark.parametrize("overrides", [{}, {"base_genus": 1, "branch_points": 2}])
+def test_run_job_hashes_no_tuple(tmp_path, monkeypatch, overrides):
+    # rows and per-row ids carry the space from classify_space to the
+    # report and both cache entries; no dict is keyed by HurwitzTuple
+    s = dataclasses.replace(parse_job(json.dumps(spec_of(overrides))), cache_dir=str(tmp_path))
+    expected = comparison_payload(run_job(dataclasses.replace(s, use_cache=False)))
+
+    def refuse(self):
+        raise AssertionError("HurwitzTuple hashed")
+
+    monkeypatch.setattr(HurwitzTuple, "__hash__", refuse)
+    cold, warm = run_job(s), run_job(s)
+    assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
+    assert comparison_payload(cold) == comparison_payload(warm) == expected
 
 
 def test_cache_relation_check_covers_the_handles(tmp_path):

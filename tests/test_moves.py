@@ -267,4 +267,7 @@ def test_components_accepts_tuple_partition(s3):
         )
     with pytest.raises(ValueError):
         components(s3, 0, 4, tuple_partition=components(s3, 0, 4, level="pointed"))
+    # a partition of another space: one orbit id per row of S3 g0 n3, not n4
+    with pytest.raises(ValueError, match="one orbit id per row"):
+        components(s3, 0, 4, level="pointed", tuple_partition=components(s3, 0, 3))
 
