@@ -31,7 +31,7 @@ from .errors import (
 from .perms import (Perm, PermGroup, compose, cycle_type, generates,
                     normalizer_fixing_point, perm_order)
 from .tuples import HurwitzTuple
-from .classify import PointedClass, conjugate_tuple
+from .classify import PointedClass
 
 
 @dataclass(frozen=True)
@@ -246,8 +246,8 @@ def cycle_type_multiset(t: HurwitzTuple) -> tuple[tuple[tuple[int, ...], int], .
 
 
 def cover_report(t: HurwitzTuple, G: PermGroup) -> CoverReport:
-    """The report of one tuple, read from the per-element data of ``G.table``;
-    it refuses what ``fiber_genus`` does, the induced model's cases first."""
+    """The report of one tuple; it refuses what ``fiber_genus`` does, the induced
+    model's cases first, then reads the group's report for its branch cycle types."""
     table = G.table
     ids = list(map(table.index.get, t.entries))
     if None in ids or not table.generates(ids):
@@ -255,20 +255,29 @@ def cover_report(t: HurwitzTuple, G: PermGroup) -> CoverReport:
         raise DisconnectedCover("galois action is not transitive")
     if not G.is_transitive():  # the entries generate G, so act as G does
         raise DisconnectedCover("induced action is not transitive")
-    branch = ids[2 * t.base_genus:]
+    return _row_report(G, t.base_genus, ids)
+
+
+def _row_report(G: PermGroup, base_genus: int, row) -> CoverReport:
+    """The report of a generating index row.  For a fixed G every field is
+    a function of the base genus and the branch cycle types in slot order,
+    so ``G._cache`` keeps one report per such key."""
+    table, branch = G.table, row[2 * base_genus:]
     profiles = tuple(map(table.cycle_types.__getitem__, branch))
-    d, n, k = t.degree, G.order, len(branch)
-    genus = _genus(d * k - sum(map(len, profiles)), d, t.base_genus)
-    orders = map(table.orders.__getitem__, branch)
-    return CoverReport(
-        degree=d,
-        base_genus=t.base_genus,
-        profiles=profiles,
-        ramification_point_counts=tuple(map(len, profiles)),
-        branching_type=tuple((p, profiles.count(p)) for p in sorted(set(profiles))),
-        genus=genus,
-        galois_genus=_genus(n * k - sum(map(n.__floordiv__, orders)), n, t.base_genus),
-    )
+    memo: dict = G._cache.setdefault("cover_reports", {})  # type: ignore[assignment]
+    key = (base_genus, profiles)
+    if key not in memo:
+        d, n, k = G.degree, G.order, len(branch)
+        memo[key] = CoverReport(
+            degree=d,
+            base_genus=base_genus,
+            profiles=profiles,
+            ramification_point_counts=tuple(map(len, profiles)),
+            branching_type=tuple((p, profiles.count(p)) for p in sorted(set(profiles))),
+            genus=_genus(d * k - sum(map(len, profiles)), d, base_genus),
+            galois_genus=_genus(n * k - sum(n // table.orders[j] for j in branch), n, base_genus),
+        )
+    return memo[key]
 
 
 def universal_fiber_report(c: PointedClass, G: PermGroup) -> CoverReport:
@@ -276,13 +285,20 @@ def universal_fiber_report(c: PointedClass, G: PermGroup) -> CoverReport:
 
     Computed from the canonical representative and re-verified against a
     second member of the fiber (when one exists), the conjugate by the
-    first non-identity element of N(lam0): every member must produce the
-    identical report, since all the quantities are conjugation invariants.
+    first non-identity element of N(lam0).  That member is formed as an
+    index row through the group's conjugation map of that element, built
+    once per group, and it must generate G and give the identical report,
+    since all the quantities are conjugation invariants.
     """
     report = cover_report(c.canonical, G)
-    N = normalizer_fixing_point(G, c.marked_point)
-    for s in N.elements[1:2]:  # sorted, so the identity is elements[0]
-        if cover_report(conjugate_tuple(c.canonical, s), G) != report:
+    table, g = G.table, c.canonical.base_genus
+    key = f"fiber_check:{c.marked_point}"
+    if key not in G._cache:  # sorted, so the identity is elements[0]
+        N = normalizer_fixing_point(G, c.marked_point)
+        G._cache[key] = [table.conjugation(s) for s in N.elements[1:2]]
+    for conj in G._cache[key]:  # type: ignore[attr-defined]
+        row = [conj[table.index[e]] for e in c.canonical.entries]
+        if not table.generates(row) or _row_report(G, g, row) != report:
             raise InternalInvariantViolation(
                 "cover report differs across members of one pointed class"
             )

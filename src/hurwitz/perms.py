@@ -299,9 +299,11 @@ class ElementTable:
     subgroup is an int bitmask over element indices: the trivial group is
     1 and the whole group is ``full``.  ``join(mask, j)``
     is the mask of the subgroup generated by the subgroup ``mask`` and
-    element j, and ``generates(ids)`` folds it.  A miss closes from the
-    subgroup's own members only, so it costs O(|<H, j>|) products, never
-    O(|G|).
+    element j, and ``generates(ids)`` folds it.  A miss goes through
+    <j> = ``join(1, j)``: <H, j> = <H, <j>> is the join of two subgroups,
+    closed once per unordered pair of them, whichever side and whichever
+    generator of <j> reaches it.  A closure starts from the subgroup's own
+    members only, so it costs O(|<H, j>|) products, never O(|G|).
     """
 
     def __init__(self, elements: tuple[Perm, ...]):
@@ -311,6 +313,7 @@ class ElementTable:
         self.full = (1 << self.size) - 1
         self.joins: dict[tuple[int, int], int] = {}
         self.products: dict[int, int] = {}  # x * |G| + s -> index of x * s
+        self._pairs: dict[tuple[int, ...], int] = {}  # (smaller, larger) mask -> their join
         # mask -> (generator indices, member indices) of each subgroup met,
         # except G itself, whose joins never miss
         self._subgroups: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {1: ((), (0,))}
@@ -368,7 +371,13 @@ class ElementTable:
             return mask
         key = (mask, j)
         if key not in self.joins:
-            self.joins[key] = self._close(mask, j)
+            if mask == 1:
+                self.joins[key] = self._close(1, j)
+            else:  # <H, j> = <H, <j>>, a join of two subgroups
+                pair = tuple(sorted((mask, self.join(1, j))))
+                if pair not in self._pairs:
+                    self._pairs[pair] = self._close(mask, j)
+                self.joins[key] = self._pairs[pair]
         return self.joins[key]
 
     def _close(self, mask: int, j: int) -> int:

@@ -11,6 +11,7 @@ from hurwitz import (
     DegreeMismatch,
     DisconnectedCover,
     DomainSizeMismatch,
+    HurwitzTuple,
     InternalInvariantViolation,
     NotASubgroup,
     ParityViolation,
@@ -19,10 +20,12 @@ from hurwitz import (
     conjugate_tuple,
     coset_model,
     cover_report,
+    cycle_type,
     cycle_type_multiset,
     enumerate_tuples,
     fiber_genus,
     identity,
+    inverse,
     natural_model,
     normalizer_in_sym,
     parse_perm,
@@ -328,21 +331,52 @@ def test_universal_report_well_defined_on_full_fiber(matrix):
 
 
 def test_universal_report_checks_a_second_member(s3, monkeypatch):
+    # the second member is checked as an index row through the per-row report
     import hurwitz.covers as covers
 
     c = classify_space(s3, 0, 4).pointed[0]
-    honest = covers.cover_report
+    elems = s3.table.elements
+    honest = covers._row_report
     calls = []
 
-    def lying(t, G):
-        calls.append(t)
-        rep = honest(t, G)
-        return rep if t == c.canonical else dataclasses.replace(rep, genus=rep.genus + 1)
+    def lying(G, g, row):
+        calls.append(HurwitzTuple(tuple(elems[j] for j in row), g))
+        rep = honest(G, g, row)
+        return rep if calls[-1] == c.canonical else dataclasses.replace(rep, genus=rep.genus + 1)
 
-    monkeypatch.setattr(covers, "cover_report", lying)
+    monkeypatch.setattr(covers, "_row_report", lying)
     with pytest.raises(InternalInvariantViolation):
         universal_fiber_report(c, s3)
-    assert len(calls) == 2 and calls[1] in nu_fiber(c, s3)
+    assert len(calls) == 2 and calls[0] == c.canonical and calls[1] in nu_fiber(c, s3)
+
+
+def test_universal_report_checks_that_the_second_member_generates(s3):
+    # a map that sends each element to the least one of its cycle type keeps
+    # every profile, but four copies of one transposition do not generate S3
+    c = next(c for c in classify_space(s3, 0, 4).pointed
+             if all(cycle_type(e) == (2, 1) for e in c.canonical.entries))
+    table = s3.table
+    universal_fiber_report(c, s3)
+    fake = [table.index[min(p for p in table.elements if cycle_type(p) == ct)]
+            for ct in table.cycle_types]
+    s3._cache[f"fiber_check:{c.marked_point}"] = [fake]
+    with pytest.raises(InternalInvariantViolation):
+        universal_fiber_report(c, s3)
+
+
+def test_report_memo_keeps_refusals_and_genera(s3, c3):
+    # one report per (base genus, branch cycle types); the memo is read only
+    # after the refusal path
+    a, b = parse_perm("(1 2)", 3), parse_perm("(1 3)", 3)
+    assert cover_report(tuple_from_entries(3, 0, [a, a, b, b]), s3).genus == 0
+    with pytest.raises(DisconnectedCover):
+        cover_report(tuple_from_entries(3, 0, [a, a, a, a]), s3)
+    r, e = parse_perm("(1 2 3)", 3), identity(3)
+    g0 = cover_report(tuple_from_entries(3, 0, [r, inverse(r)]), c3)
+    g1 = cover_report(tuple_from_entries(3, 1, [e, e, r, inverse(r)]), c3)
+    assert g0.profiles == g1.profiles
+    assert (g0.base_genus, g0.genus) == (0, 0)
+    assert (g1.base_genus, g1.genus) == (1, 3)
 
 
 def test_universal_report_c3_twisted_type(c3):
