@@ -22,6 +22,7 @@ first pointed class, and its size is the union's size times |N(lam0)|.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -207,23 +208,30 @@ class SpaceCensus:
 class SpaceClassification:
     """Everything the census and the reports need about one space.
 
-    ``rows[k]`` is ``tuples[k]`` as a row of ``group.table`` element
-    indices; ``pointed_of[k]`` and ``unpointed_of[k]`` are the positions
-    of its classes in ``pointed`` and ``unpointed``.  ``pointed_index``
-    and ``unpointed_index`` are the same maps keyed by tuple, built when
-    first read.
+    ``rows`` holds the space's tuples, sorted, as rows of ``group.table``
+    element indices; ``pointed_of[k]`` and ``unpointed_of[k]`` are the
+    positions of the classes of ``rows[k]`` in ``pointed`` and
+    ``unpointed``.  Built when first read: ``tuples`` (the rows as
+    ``HurwitzTuple``s), ``pointed_index`` and ``unpointed_index`` (the
+    class maps keyed by tuple) and ``type_keys`` (per row, the sorted
+    class indices of its branch entries).
     """
 
     group: PermGroup
     base_genus: int
     branch_count: int
     type_filter: BranchingType | None
-    tuples: tuple[HurwitzTuple, ...]
+    rows: tuple[tuple[int, ...], ...] = field(repr=False)
     pointed: tuple[PointedClass, ...]
     unpointed: tuple[UnpointedClass, ...]
-    rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     pointed_of: tuple[int, ...] = field(compare=False, repr=False)
     unpointed_of: tuple[int, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def tuples(self) -> tuple[HurwitzTuple, ...]:
+        elements = self.group.table.elements
+        return tuple([HurwitzTuple(tuple(map(elements.__getitem__, row)), self.base_genus)
+                      for row in self.rows])
 
     @cached_property
     def pointed_index(self) -> dict[HurwitzTuple, int]:
@@ -233,17 +241,20 @@ class SpaceClassification:
     def unpointed_index(self) -> dict[HurwitzTuple, int]:
         return dict(zip(self.tuples, self.unpointed_of))
 
+    @cached_property
+    def type_keys(self) -> tuple[tuple[int, ...], ...]:
+        classes, first = self.group.table.classes, 2 * self.base_genus
+        return tuple([tuple(sorted([classes[j] for j in row[first:]])) for row in self.rows])
+
     @property
     def census(self) -> SpaceCensus:
         table = self.group.table
-        index, classes, first = table.index, table.classes, 2 * self.base_genus
-        by_key: dict[tuple[int, ...], list[int]] = {}  # sorted class indices -> counts
+        index, classes = table.index, table.classes
+        by_key = {key: [n, 0, 0] for key, n in Counter(self.type_keys).items()}
         # a twisted type filter can carry a canonical outside the listed rows
-        canonicals = [[[index[e] for e in c.canonical.entries] for c in cs]
-                      for cs in (self.pointed, self.unpointed)]
-        for col, members in enumerate((self.rows, *canonicals)):
-            for row in members:
-                key = tuple(sorted([classes[j] for j in row[first:]]))
+        for col, members in enumerate((self.pointed, self.unpointed), 1):
+            for c in members:
+                key = tuple(sorted([classes[index[e]] for e in c.canonical.branches]))
                 by_key.setdefault(key, [0, 0, 0])[col] += 1
         rows = []
         for key, counts in by_key.items():
@@ -251,7 +262,7 @@ class SpaceClassification:
             rows.append(TypeCensus(BranchingType(pairs), *counts))
         rows.sort(key=lambda r: r.branching_type.entries)
         return SpaceCensus(
-            len(self.tuples), len(self.pointed), len(self.unpointed), tuple(rows)
+            len(self.rows), len(self.pointed), len(self.unpointed), tuple(rows)
         )
 
 
@@ -263,12 +274,16 @@ def classify_space(
     *,
     work_cap: int | None = None,
     tuples: tuple[HurwitzTuple, ...] | None = None,
+    rows: tuple[tuple[int, ...], ...] | None = None,
 ) -> SpaceClassification:
     """Enumerate a space and classify it at both quotient levels.
 
-    ``tuples`` short-circuits the enumeration (used by the cache layer);
-    like the output of ``enumerate_tuples`` it must be sorted, and it
-    must hold every conjugate of a listed tuple by G.  Each pointed orbit
+    ``tuples`` or ``rows`` short-circuits the enumeration.  ``rows`` gives
+    the tuples as rows of ``G.table`` element indices (the cache decoder
+    passes its rows); ``tuples`` is mapped to rows first, and both take
+    the same sweep.  Like the output of ``enumerate_tuples`` the list must
+    be sorted and hold every conjugate of a listed tuple by G; its relation
+    and generation are not checked here.  Each pointed orbit
     must have |N(lam0)| members (the action is free).  The fiber
     identity  #tuples = #pointed * |Stab_N(lam0)(type)|  is enforced:
     conjugation twists a branching type classwise, so the stabilizer of
@@ -278,7 +293,7 @@ def classify_space(
     """
     from .tuples import DEFAULT_WORK_CAP
 
-    if tuples is None:
+    if rows is None and tuples is None:
         tuples = tuple(
             enumerate_tuples(
                 G,
@@ -289,11 +304,12 @@ def classify_space(
             )
         )
     table = G.table
+    if rows is None:
+        try:
+            rows = tuple([tuple(map(table.index.__getitem__, t.entries)) for t in tuples])
+        except KeyError:
+            raise InternalInvariantViolation("a listed tuple has an entry outside G") from None
     N = normalizer_fixing_point(G)
-    try:
-        rows = tuple([tuple(map(table.index.__getitem__, t.entries)) for t in tuples])
-    except KeyError:
-        raise InternalInvariantViolation("a listed tuple has an entry outside G") from None
     position = {row: k for k, row in enumerate(rows)}
     # images[e][k]: index of the conjugate of element e by the k-th element of N(lam0)
     images = list(zip(*map(table.conjugation, N.elements)))
@@ -320,16 +336,16 @@ def classify_space(
                      for _ in range(m))
         stab_order = sum(sorted(map(table.classes.__getitem__, col)) == fil
                          for col in zip(*map(images.__getitem__, fil)))
-    if len(tuples) != len(found) * stab_order:
+    if len(rows) != len(found) * stab_order:
         raise FreeActionViolated(
-            f"{len(tuples)} tuples vs {len(found)} pointed classes "
+            f"{len(rows)} tuples vs {len(found)} pointed classes "
             f"with type-stabilizer order {stab_order}"
         )
     order = sorted(range(len(found)), key=lambda c: found[c][0])
     rank = {c: r for r, c in enumerate(order)}
     pointed_of = [rank[c] for c in pointed_of]
     pointed = tuple(PointedClass(
-        tuples[position[m]] if m in position
+        tuples[position[m]] if tuples is not None and m in position
         else HurwitzTuple(tuple(map(table.elements.__getitem__, m)), base_genus),
         G.marked_point) for m, _ in map(found.__getitem__, order))
 
@@ -354,8 +370,8 @@ def classify_space(
         unpointed.append(UnpointedClass(pointed[c].canonical, len(union) * N.order))
 
     return SpaceClassification(
-        G, base_genus, branch_count, type_filter, tuples, pointed, unpointed,
-        rows, tuple(pointed_of), tuple(map(unpointed_of.__getitem__, pointed_of)),
+        G, base_genus, branch_count, type_filter, rows, pointed, unpointed,
+        tuple(pointed_of), tuple(map(unpointed_of.__getitem__, pointed_of)),
     )
 
 

@@ -27,6 +27,7 @@ from .classify import SpaceClassification, classify_space
 from .covers import universal_fiber_report
 from .errors import (
     InputError,
+    InternalInvariantViolation,
     IntransitiveGroup,
     SchemaError,
     TypeMultiplicityMismatch,
@@ -35,7 +36,6 @@ from .moves import ComponentPartition, components
 from .perms import PermGroup, format_perm, generate_group, identity, parse_perm
 from .tuples import (
     BranchingType,
-    HurwitzTuple,
     enumerate_tuples,
     make_branching_type,
 )
@@ -233,47 +233,60 @@ def _spec_to_json(spec: JobSpec) -> dict:
     }
 
 
-def _tuples_from_ints(group: PermGroup, base_genus: int, branch_points: int,
-                      type_filter: BranchingType | None,
-                      meta: dict, data: list[int]) -> tuple[HurwitzTuple, ...]:
-    """Decode a cached tuples entry, checking that it could be the space.
-
-    Raises ValueError unless there are ``meta["count"]`` rows of element
-    indices in strictly increasing order, every index lies in the group,
-    no branch entry is the identity, every row satisfies the relation and
-    generates the group and, under a type filter, every row has exactly
-    that branching type.
-    """
-    width = 2 * base_genus + branch_points
-    if len(data) % width != 0:
-        raise ValueError("cached payload has the wrong shape")
-    if len(data) // width != meta.get("count"):
-        raise ValueError(f"{len(data) // width} rows, header says {meta.get('count')}")
-    table = group.table
-    if data and not 0 <= min(data) <= max(data) < table.size:
-        raise ValueError("an entry lies outside the group")
-    inv, classes, first = table.inverses, table.classes, 2 * base_genus
-    want = None if type_filter is None else sorted(  # sorted class indices
-        classes[table.index[rep]] for rep, m in type_filter.entries for _ in range(m))
-    out = []
-    prev: list[int] = []
-    for off in range(0, len(data), width):
-        row = data[off:off + width]
-        if row <= prev:  # index order is element order
-            raise ValueError("rows are not strictly increasing")
-        prev = row
-        if 0 in row[first:]:  # index 0 is the identity
-            raise ValueError("a branch entry is the identity")
+def _check_relation_and_generation(table, first: int, rows) -> None:
+    """Raise ValueError unless every index row (handle slots before
+    ``first``) satisfies the surface relation and generates the group."""
+    inv = table.inverses
+    for row in rows:
         word = [s for a, b in zip(row[0:first:2], row[1:first:2])
-                for s in (a, b, inv[a], inv[b])] + row[first:]  # [a, b] = a b a^-1 b^-1
+                for s in (a, b, inv[a], inv[b])] + list(row[first:])  # [a, b] = a b a^-1 b^-1
         if reduce(table.mul, word, 0) != 0:
             raise ValueError("a row violates the relation")
         if not table.generates(row):
             raise ValueError("a row does not generate the group")
-        if want is not None and sorted(map(classes.__getitem__, row[first:])) != want:
+
+
+def _classify_cached_rows(group: PermGroup, base_genus: int, branch_points: int,
+                          type_filter: BranchingType | None,
+                          meta: dict, data: list[int]) -> SpaceClassification:
+    """Classify the rows of a cached tuples entry, checking that they could be the space.
+
+    Raises ValueError unless there are ``meta["count"]`` rows of element
+    indices in strictly increasing order, every index lies in the group,
+    no branch entry is the identity and, under a type filter, every row
+    has exactly that branching type; unless the rows classify (if not,
+    each row's relation and generation are checked first, so a defective
+    row names its defect); and unless each pointed class's canonical row
+    satisfies the relation and generates G.  That one row stands for the
+    class: every listed member is an N(lam0)-conjugate of it, and
+    conjugation by an element normalizing G keeps both properties.
+    """
+    width, first = 2 * base_genus + branch_points, 2 * base_genus
+    if len(data) % width != 0:
+        raise ValueError("cached payload has the wrong shape")
+    rows = tuple(zip(*[iter(data)] * width))
+    if len(rows) != meta.get("count"):
+        raise ValueError(f"{len(rows)} rows, header says {meta.get('count')}")
+    table = group.table
+    if data and not 0 <= min(data) <= max(data) < table.size:
+        raise ValueError("an entry lies outside the group")
+    if any(a >= b for a, b in zip(rows, rows[1:])):  # index order is element order
+        raise ValueError("rows are not strictly increasing")
+    if any(0 in data[j::width] for j in range(first, width)):  # index 0 is the identity
+        raise ValueError("a branch entry is the identity")
+    try:
+        cls = classify_space(group, base_genus, branch_points, type_filter, rows=rows)
+    except InternalInvariantViolation as exc:
+        _check_relation_and_generation(table, first, rows)
+        raise ValueError(f"the rows do not classify: {exc}") from None
+    if type_filter is not None:
+        want = tuple(sorted(table.classes[table.index[rep]]
+                            for rep, m in type_filter.entries for _ in range(m)))
+        if any(key != want for key in cls.type_keys):
             raise ValueError("a row breaks the branching type")
-        out.append(HurwitzTuple(tuple(map(table.elements.__getitem__, row)), base_genus))
-    return tuple(out)
+    _check_relation_and_generation(
+        table, first, [[table.index[e] for e in c.canonical.entries] for c in cls.pointed])
+    return cls
 
 
 def run_job(spec: JobSpec) -> dict:
@@ -288,25 +301,13 @@ def run_job(spec: JobSpec) -> dict:
     key = cache_key(spec)
     stats: dict = {}
 
-    tuples = cache.load(key, "tuples", partial(
-        _tuples_from_ints, group, spec.base_genus, spec.branch_points, type_filter))
-    cached = tuples is not None
-    if not cached:
-        tuples = tuple(
-            enumerate_tuples(
-                group,
-                spec.base_genus,
-                spec.branch_points,
-                type_filter,
-                work_cap=spec.caps.work,
-                stats=stats,
-            )
-        )
-
-    cls = classify_space(
-        group, spec.base_genus, spec.branch_points, type_filter, tuples=tuples
-    )
-    if not cached:
+    cls = cache.load(key, "tuples", partial(
+        _classify_cached_rows, group, spec.base_genus, spec.branch_points, type_filter))
+    if cls is None:
+        tuples = tuple(enumerate_tuples(group, spec.base_genus, spec.branch_points, type_filter,
+                                        work_cap=spec.caps.work, stats=stats))
+        cls = classify_space(group, spec.base_genus, spec.branch_points, type_filter,
+                             tuples=tuples)
         cache.store(key, "tuples", {"count": len(cls.rows)}, list(chain.from_iterable(cls.rows)))
 
     compute_components = partial(components, group, spec.base_genus, spec.branch_points,
@@ -314,7 +315,7 @@ def run_job(spec: JobSpec) -> dict:
     part_tuples = cache.load(key, "components", partial(_partition_from_assignment, cls))
     if part_tuples is None:
         part_tuples = compute_components(level="tuples")
-        cache.store(key, "components", {"orbits": len(part_tuples.orbits)},
+        cache.store(key, "components", {"orbits": len(part_tuples.orbit_sizes)},
                     list(part_tuples.orbit_of))
     parts = {
         "tuples": part_tuples,
@@ -379,28 +380,27 @@ def _partition_from_assignment(cls: SpaceClassification, meta: dict,
                                assignment: list[int]) -> ComponentPartition:
     """Rebuild the tuple-level partition from a cached assignment array.
 
-    Raises ValueError unless there is one orbit id per tuple, the ids
-    first appear in the order 0, 1, 2, ... and there are ``meta["orbits"]``
-    of them.
+    Raises ValueError unless there is one orbit id per row, the ids
+    first appear in the order 0, 1, 2, ..., there are ``meta["orbits"]``
+    of them and no orbit holds rows of two branching types (moves keep
+    the type).
     """
-    if len(assignment) != len(cls.tuples):
+    if len(assignment) != len(cls.rows):
         raise ValueError("the assignment does not have one orbit id per tuple")
-    orbits: list[list[HurwitzTuple]] = []
-    for t, orbit_id in zip(cls.tuples, assignment):
-        if orbit_id == len(orbits):
-            orbits.append([])
-        elif not 0 <= orbit_id < len(orbits):
+    keys: list[tuple[int, ...]] = []  # per orbit, the type key of its first row
+    sizes: list[int] = []
+    for key, orbit_id in zip(cls.type_keys, assignment):
+        if orbit_id == len(keys):
+            keys.append(key)
+            sizes.append(0)
+        elif not 0 <= orbit_id < len(keys):
             raise ValueError("orbit ids do not first appear in the order 0, 1, 2, ...")
-        orbits[orbit_id].append(t)
-    if len(orbits) != meta.get("orbits"):
-        raise ValueError(f"{len(orbits)} orbits, header says {meta.get('orbits')}")
-    return ComponentPartition(
-        level="tuples",
-        exact=cls.base_genus == 0,
-        orbit_sizes=tuple(len(o) for o in orbits),
-        orbits=tuple(tuple(o) for o in orbits),
-        orbit_of=tuple(assignment),
-    )
+        elif keys[orbit_id] != key:
+            raise ValueError("an orbit holds rows of two branching types")
+        sizes[orbit_id] += 1
+    if len(keys) != meta.get("orbits"):
+        raise ValueError(f"{len(keys)} orbits, header says {meta.get('orbits')}")
+    return ComponentPartition("tuples", cls.base_genus == 0, tuple(sizes), tuple(assignment), cls)
 
 
 def report_to_json(doc: dict) -> str:

@@ -16,8 +16,9 @@ is an upper bound).  Results carry an ``exact`` flag accordingly.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 from .errors import IndexOutOfRange, InternalInvariantViolation, OrbitCapExceeded
@@ -78,16 +79,28 @@ class ComponentPartition:
 
     ``orbit_sizes`` lists one size per orbit, ordered by each orbit's
     minimal member; ``exact`` is false for genus >= 1 where the partition
-    is only a refinement of the true components.  At the tuples level
-    ``orbit_of[k]`` is the orbit of the classification's ``rows[k]``
-    (empty at the class levels).
+    is only a refinement of the true components.  ``orbit_of[k]`` is the
+    orbit of the k-th member of the level in ``classification``: its
+    ``rows[k]`` at the tuples level, else its k-th class.  ``orbits``
+    lists each orbit's members (tuples, or the classes' canonical
+    representatives), built when first read.
     """
 
     level: Level
     exact: bool
     orbit_sizes: tuple[int, ...]
-    orbits: tuple[tuple[HurwitzTuple, ...], ...]
-    orbit_of: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    orbit_of: tuple[int, ...] = field(repr=False)
+    classification: SpaceClassification = field(compare=False, repr=False)
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[HurwitzTuple, ...], ...]:
+        cls = self.classification
+        members = (cls.tuples if self.level == "tuples"
+                   else [c.canonical for c in getattr(cls, self.level)])
+        orbits: list[list[HurwitzTuple]] = [[] for _ in self.orbit_sizes]
+        for t, k in zip(members, self.orbit_of):  # sorted, so each orbit is sorted
+            orbits[k].append(t)
+        return tuple(map(tuple, orbits))
 
 
 def _row_orbits(table: ElementTable, rows, first: int, convention: Convention,
@@ -132,18 +145,18 @@ def _row_orbits(table: ElementTable, rows, first: int, convention: Convention,
     return orbit_of, count
 
 
-def _class_orbits(orbit_of, class_of, classes) -> list[tuple[HurwitzTuple, ...]]:
-    """Move orbits of the classes: the images of the tuple orbits, read
-    from the orbit and the class of each row.
+def _class_orbits(orbit_of, class_of, count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Move orbits of the ``count`` classes: the images of the tuple orbits,
+    read from the orbit and the class of each row.  Returns each class's
+    orbit and the orbit sizes, orbits numbered by minimal class.
 
     Moves commute with conjugation, so two tuple orbits have equal or
-    disjoint class images.  Orbits hold canonical representatives and are
-    ordered by minimum, like the tuple level.
+    disjoint class images.
     """
     images: dict[int, set[int]] = {}  # tuple orbit -> its classes
     for k, c in zip(orbit_of, class_of):
         images.setdefault(k, set()).add(c)
-    label = [-1] * len(classes)
+    label = [-1] * count
     parts: list[list[int]] = []
     for image in map(sorted, images.values()):
         k = label[image[0]]
@@ -154,7 +167,10 @@ def _class_orbits(orbit_of, class_of, classes) -> list[tuple[HurwitzTuple, ...]]
         elif k < 0 or parts[k] != image:
             raise InternalInvariantViolation("class images of two move orbits overlap")
     parts.sort()
-    return [tuple(classes[c].canonical for c in part) for part in parts]
+    for k, part in enumerate(parts):
+        for c in part:
+            label[c] = k
+    return tuple(label), tuple(map(len, parts))
 
 
 def components(
@@ -189,22 +205,12 @@ def components(
     if tuple_partition is None:
         labels, count = _row_orbits(G.table, cls.rows, 2 * base_genus, convention, orbit_cap)
         orbit_of = tuple(labels.values())  # a closed search adds no row, so in row order
+        orbit_sizes = tuple(map(Counter(orbit_of).__getitem__, range(count)))
     else:
-        orbit_of, count = tuple_partition.orbit_of, len(tuple_partition.orbits)
+        orbit_of, orbit_sizes = tuple_partition.orbit_of, tuple_partition.orbit_sizes
         if len(orbit_of) != len(cls.rows):
             raise ValueError("tuple_partition must have one orbit id per row of the space")
-    if level == "tuples":
-        orbits = [[] for _ in range(count)]
-        for t, k in zip(cls.tuples, orbit_of):  # sorted, so each orbit is sorted
-            orbits[k].append(t)
-    else:
-        class_of, classes = ((cls.pointed_of, cls.pointed) if level == "pointed"
-                             else (cls.unpointed_of, cls.unpointed))
-        orbits = _class_orbits(orbit_of, class_of, classes)
-    return ComponentPartition(
-        level=level,
-        exact=base_genus == 0,
-        orbit_sizes=tuple(len(p) for p in orbits),
-        orbits=tuple(tuple(p) for p in orbits),
-        orbit_of=orbit_of if level == "tuples" else (),
-    )
+    if level != "tuples":
+        class_of = cls.pointed_of if level == "pointed" else cls.unpointed_of
+        orbit_of, orbit_sizes = _class_orbits(orbit_of, class_of, len(getattr(cls, level)))
+    return ComponentPartition(level, base_genus == 0, orbit_sizes, orbit_of, cls)

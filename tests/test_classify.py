@@ -168,6 +168,16 @@ def test_sweep_index_matches_class_functions(matrix, twisted):
     assert all(u.orbit_size == 1344 // 8 for u in cls.unpointed)
 
 
+def test_rows_input_takes_the_same_sweep(matrix, twisted):
+    # rows= classifies the index rows directly; tuples is a view of them
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted:
+        cls = classify_space(G, g, n, bt)
+        again = classify_space(G, g, n, bt, rows=cls.rows)
+        assert again == cls and again.tuples == cls.tuples == tuple(enumerate_tuples(G, g, n, bt))
+        assert (again.pointed_of, again.unpointed_of) == (cls.pointed_of, cls.unpointed_of)
+        assert again.census == cls.census
+
+
 def test_classify_rejects_a_list_missing_conjugates_by_g(s3):
     # one pointed class of S3 g0 n4 passes the fiber check (2 = 1 * |N(lam0)|),
     # but its conjugates by the elements of G moving the marked point are missing

@@ -24,6 +24,8 @@ from hurwitz import (
     cache_key,
     comparison_payload,
     enumerate_tuples,
+    format_perm,
+    normalizer_fixing_point,
     parse_job,
     report_to_json,
     run_job,
@@ -283,9 +285,28 @@ def test_cache_leaves_only_entries(tmp_path):
     ]
 
 
-# element indices of (1 2), (1 3) and the identity among the sorted
-# elements of S3; a GOOD row is four indices.
-_A, _B, _E = [2], [5], [0]
+# element indices of (1 2), (1 3), (1 2 3), (1 3 2) and the identity
+# among the sorted elements of S3; a GOOD row is four indices.
+_A, _B, _C, _CI, _E = [2], [5], [3], [4], [0]
+
+
+def _conjugates(row, by):
+    """The distinct conjugates of an index row of GOOD's S3 by the elements
+    of ``by(S3)``, sorted and flattened."""
+    group = build_group(parse_job(json.dumps(GOOD)))[0]
+    maps = [group.table.conjugation(s) for s in by(group).elements]
+    return [j for r in sorted({tuple(m[i] for i in row) for m in maps}) for j in r]
+
+
+def _merged(data, extra):
+    """The rows of ``data`` and ``extra`` in one sorted entry."""
+    rows = sorted({tuple(d[k:k + 4]) for d in (data, extra) for k in range(0, len(d), 4)})
+    return {"count": len(rows)}, [j for r in rows for j in r]
+
+
+# (C, C, C^-1, C^-1) and its conjugate by (2 3) keep the relation but
+# generate only A3: one pointed class that classifies and fails its check
+_A3_CLASS = _C + _C + _CI + _CI + _CI + _CI + _C + _C
 BAD_ENTRIES = {
     "row count": ("tuples", "header says",
                   lambda meta, data: ({"count": meta["count"] + 1}, data)),
@@ -307,6 +328,26 @@ BAD_ENTRIES = {
                     lambda meta, data: (meta, [1 - k for k in data])),
     "meta not an object": ("tuples", "not an object",
                            lambda meta, data: ([meta["count"]], data)),
+    # classification fails; the rows themselves are valid
+    "partial space": ("tuples", "type-stabilizer",
+                      lambda meta, data: ({"count": 1}, data[:4])),
+    "missing conjugates": ("tuples", "not listed",
+                           lambda meta, data: ({"count": 2}, _conjugates(
+                               data[:4], normalizer_fixing_point))),
+    # classification passes; the check once per pointed class fails
+    "class not generating": ("tuples", "does not generate",
+                             lambda meta, data: ({"count": 2}, _A3_CLASS)),
+    "class not generating among valid": ("tuples", "does not generate",
+                                         lambda meta, data: _merged(data, _A3_CLASS)),
+    "class relation": ("tuples", "relation",
+                       lambda meta, data: ({"count": 6}, _conjugates(
+                           _A + _A + _A + _B, lambda group: group))),
+    # moves keep the branching type; GOOD's two types are its two orbits
+    "one orbit of two types": ("components", "two branching types",
+                               lambda meta, data: ({"orbits": 1}, [0] * len(data))),
+    "alternating orbits": ("components", "two branching types",
+                           lambda meta, data: ({"orbits": 2},
+                                               [k % 2 for k in range(len(data))])),
 }
 
 
@@ -339,6 +380,40 @@ def test_run_job_hashes_no_tuple(tmp_path, monkeypatch, overrides):
     cold, warm = run_job(s), run_job(s)
     assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
     assert comparison_payload(cold) == comparison_payload(warm) == expected
+
+
+@pytest.mark.parametrize("overrides", [{}, {"base_genus": 1, "branch_points": 2}])
+def test_warm_run_builds_one_tuple_per_pointed_class(tmp_path, monkeypatch, overrides):
+    # the decoder classifies the cached rows themselves: only the class
+    # canonicals become HurwitzTuples
+    s = dataclasses.replace(parse_job(json.dumps(spec_of(overrides))), cache_dir=str(tmp_path))
+    cold = run_job(s)
+    built = []
+    init = HurwitzTuple.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HurwitzTuple, "__init__", counting)
+    warm = run_job(s)
+    assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
+    assert len(built) <= warm["census"]["pointed"] < warm["census"]["tuples"]
+    assert comparison_payload(cold) == comparison_payload(warm)
+
+
+def test_warm_equals_cold_under_twisted_types(tmp_path, twisted):
+    # a twisted type filter can put a class canonical outside the cached
+    # rows; its check still stands for the listed conjugates
+    for k, (G, g, n, bt) in enumerate(twisted):
+        doc = {"format_version": 1, "degree": G.degree,
+               "generators": [format_perm(p) for p in G.generators],
+               "base_genus": g, "branch_points": n,
+               "branching_type": [[format_perm(rep), m] for rep, m in bt.entries]}
+        s = dataclasses.replace(parse_job(doc), cache_dir=str(tmp_path / str(k)))
+        cold, warm = run_job(s), run_job(s)
+        assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
+        assert comparison_payload(cold) == comparison_payload(warm)
 
 
 def test_cache_relation_check_covers_the_handles(tmp_path):
