@@ -209,11 +209,13 @@ class SpaceClassification:
     """Everything the census and the reports need about one space.
 
     ``rows`` holds the space's tuples, sorted, as rows of ``group.table``
-    element indices; ``pointed_of[k]`` and ``unpointed_of[k]`` are the
-    positions of the classes of ``rows[k]`` in ``pointed`` and
-    ``unpointed``.  Built when first read: ``tuples`` (the rows as
-    ``HurwitzTuple``s), ``pointed_index`` and ``unpointed_index`` (the
-    class maps keyed by tuple) and ``type_keys`` (per row, the sorted
+    element indices, and ``position`` maps each row to its index;
+    ``pointed_of[k]`` and ``unpointed_of[k]`` are the positions of the
+    classes of ``rows[k]`` in ``pointed`` and ``unpointed``.  ``rows[k]``
+    is the conjugate by the ``conjugator_of[k]``-th element of N(lam0) of
+    its class's first listed row.  Built when first read: ``tuples`` (the
+    rows as ``HurwitzTuple``s), ``pointed_index`` and ``unpointed_index``
+    (the class maps keyed by tuple) and ``type_keys`` (per row, the sorted
     class indices of its branch entries).
     """
 
@@ -226,6 +228,8 @@ class SpaceClassification:
     unpointed: tuple[UnpointedClass, ...]
     pointed_of: tuple[int, ...] = field(compare=False, repr=False)
     unpointed_of: tuple[int, ...] = field(compare=False, repr=False)
+    conjugator_of: tuple[int, ...] = field(compare=False, repr=False)
+    position: dict[tuple[int, ...], int] = field(compare=False, repr=False)
 
     @cached_property
     def tuples(self) -> tuple[HurwitzTuple, ...]:
@@ -316,19 +320,19 @@ def classify_space(
 
     # pointed: one orbit expansion per class; the minimum is taken over the
     # whole orbit, which a twisted type filter can carry outside the list
-    pointed_of = [-1] * len(rows)
+    pointed_of, conjugator_of = [-1] * len(rows), [0] * len(rows)
     found: list[tuple[tuple[int, ...], int]] = []  # (orbit minimum, first listed member)
     for k, row in enumerate(rows):
         if pointed_of[k] >= 0:
             continue
-        orbit = set(zip(*map(images.__getitem__, row)))
-        if len(orbit) != N.order:
-            raise FreeActionViolated(
-                f"orbit of size {len(orbit)} under N(lam0) of order {N.order}"
-            )
-        for member in orbit:
-            if member in position:
-                pointed_of[position[member]] = len(found)
+        orbit = list(zip(*map(images.__getitem__, row)))
+        size = len(set(orbit))
+        if size != N.order:
+            raise FreeActionViolated(f"orbit of size {size} under N(lam0) of order {N.order}")
+        for j, member in enumerate(orbit):
+            i = position.get(member)
+            if i is not None:
+                pointed_of[i], conjugator_of[i] = len(found), j
         found.append((min(orbit), k))
     stab_order = N.order
     if type_filter is not None:
@@ -372,6 +376,7 @@ def classify_space(
     return SpaceClassification(
         G, base_genus, branch_count, type_filter, rows, pointed, unpointed,
         tuple(pointed_of), tuple(map(unpointed_of.__getitem__, pointed_of)),
+        tuple(conjugator_of), position,
     )
 
 

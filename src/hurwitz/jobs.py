@@ -382,8 +382,8 @@ def _partition_from_assignment(cls: SpaceClassification, meta: dict,
 
     Raises ValueError unless there is one orbit id per row, the ids
     first appear in the order 0, 1, 2, ..., there are ``meta["orbits"]``
-    of them and no orbit holds rows of two branching types (moves keep
-    the type).
+    of them, no orbit holds rows of two branching types (moves keep the
+    type) and the orbits' class images, derived here, do not overlap.
     """
     if len(assignment) != len(cls.rows):
         raise ValueError("the assignment does not have one orbit id per tuple")
@@ -400,7 +400,12 @@ def _partition_from_assignment(cls: SpaceClassification, meta: dict,
         sizes[orbit_id] += 1
     if len(keys) != meta.get("orbits"):
         raise ValueError(f"{len(keys)} orbits, header says {meta.get('orbits')}")
-    return ComponentPartition("tuples", cls.base_genus == 0, tuple(sizes), tuple(assignment), cls)
+    part = ComponentPartition("tuples", cls.base_genus == 0, tuple(sizes), tuple(assignment), cls)
+    try:
+        part.quotients  # the class-level partitions, memoized for run_job
+    except InternalInvariantViolation as exc:
+        raise ValueError(str(exc)) from None
+    return part
 
 
 def report_to_json(doc: dict) -> str:

@@ -12,17 +12,26 @@ full monodromy of the configuration space, so components are exact; for
 genus >= 1 no tuple-level action of the full mapping class group is
 implemented and the partition is only a refinement (the component count
 is an upper bound).  Results carry an ``exact`` flag accordingly.
+
+Moves touch only branch slots, so in every genus they commute with
+conjugation by N(lam0), and ``components`` searches the pointed classes.
+Class c gets a row rep_c = w_c base_c (base_c its first listed row) in
+the root's tuple orbit O.  A move from rep_c onto the row n_k base_c' of
+a class met before gives the Schreier generator n_k w_c'^-1 of
+H = Stab_N(lam0)(O); these generate H (Seress, *Permutation Group
+Algorithms*, 2003, 4.2).  Over a class orbit C each tuple orbit has
+|C| |H| rows; n_k base_c lies in the one of the coset n_k w_c^-1 H.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal
 
 from .errors import IndexOutOfRange, InternalInvariantViolation, OrbitCapExceeded
-from .perms import ElementTable, PermGroup, compose, generate_group, inverse
+from .perms import (ElementTable, PermGroup, compose, generate_group, inverse,
+                    normalizer_fixing_point)
 from .tuples import BranchingType, HurwitzTuple
 from .classify import SpaceClassification, classify_space
 
@@ -57,17 +66,23 @@ def braid_orbit(t: HurwitzTuple, *, orbit_cap: int = DEFAULT_ORBIT_CAP,
                 convention: Convention = "standard") -> tuple[HurwitzTuple, ...]:
     """Closure of one tuple under all elementary moves, both directions.
 
-    A one-seed run of the index-row BFS over the group the entries
-    generate, which moves never leave.  At most ``orbit_cap`` tuples,
-    the seed included; the result is sorted in the global total order.
+    A BFS on index rows of the group the entries generate, which moves
+    never leave, so both conventions give it.  At most ``orbit_cap``
+    tuples, the seed included; sorted in the global total order.
     """
     table = generate_group(t.entries).table
     seed = tuple(map(table.index.__getitem__, t.entries))
-    orbit_of, _ = _row_orbits(table, [seed], 2 * t.base_genus, convention,
-                              orbit_cap - 1, closed=False)
+    orbit, seen = [seed], {seed}
+    for row in orbit:  # grows while it is walked
+        for nxt in _moved(table, row, 2 * t.base_genus):
+            if nxt not in seen:
+                if len(orbit) >= orbit_cap:
+                    raise OrbitCapExceeded(f"orbit closure exceeds cap {orbit_cap}")
+                seen.add(nxt)
+                orbit.append(nxt)
     # index order is element order, so sorted rows are sorted tuples
     return tuple(HurwitzTuple(tuple(map(table.elements.__getitem__, row)), t.base_genus)
-                 for row in sorted(orbit_of))
+                 for row in sorted(orbit))
 
 
 Level = Literal["tuples", "pointed", "unpointed"]
@@ -102,75 +117,96 @@ class ComponentPartition:
             orbits[k].append(t)
         return tuple(map(tuple, orbits))
 
+    @cached_property
+    def quotients(self) -> dict[Level, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per class level, each class's orbit and the orbit sizes: the class
+        images of the orbits of this tuple partition."""
+        cls = self.classification
+        return {"pointed": _class_orbits(self.orbit_of, cls.pointed_of, len(cls.pointed)),
+                "unpointed": _class_orbits(self.orbit_of, cls.unpointed_of, len(cls.unpointed))}
 
-def _row_orbits(table: ElementTable, rows, first: int, convention: Convention,
-                orbit_cap: int, *, closed: bool = True) -> tuple[dict, int]:
-    """Move orbits of index rows (branch slots from ``first``), seeded in
-    list order: each reached row's orbit number, and the orbit count.
 
-    ``orbit_cap`` bounds the rows reached by a move from all seeds.  When
-    ``closed`` the rows are a whole space and a move out of it is an
-    error; otherwise the row it reaches joins the orbit.
-    """
+def _moved(table: ElementTable, row: tuple[int, ...], first: int):
+    """The rows one move, either way, from an index row with branch slots from ``first``."""
     mul, inv = table.mul, table.inverses
-    orbit_of = dict.fromkeys(rows, -1)
-    outside = None if closed else -1
-    count = 0
-    reached = 0
-    for seed in rows:
-        if orbit_of[seed] >= 0:
-            continue
-        orbit_of[seed] = count
-        frontier = deque([seed])
-        while frontier:
-            cur = frontier.popleft()
-            for k in range(first, len(cur) - 1):
-                a, b = cur[k], cur[k + 1]
-                # (a, b) -> (a b a^-1, a) and (b, b^-1 a b)
-                forward = cur[:k] + (mul(mul(a, b), inv[a]), a) + cur[k + 2:]
-                backward = cur[:k] + (b, mul(mul(inv[b], a), b)) + cur[k + 2:]
-                for nxt in ((forward, backward) if convention == "standard"
-                            else (backward, forward)):
-                    label = orbit_of.get(nxt, outside)
-                    if label == -1:
-                        reached += 1
-                        if reached > orbit_cap:
-                            raise OrbitCapExceeded(f"orbit closure exceeds cap {orbit_cap}")
-                        orbit_of[nxt] = count
-                        frontier.append(nxt)
-                    elif label != count:
-                        # moves must not leave the enumerated space
-                        raise InternalInvariantViolation("orbit escaped the enumerated space")
-        count += 1
-    return orbit_of, count
+    for k in range(first, len(row) - 1):
+        a, b = row[k], row[k + 1]
+        # (a, b) -> (a b a^-1, a) and (b, b^-1 a b)
+        yield row[:k] + (mul(mul(a, b), inv[a]), a) + row[k + 2:]
+        yield row[:k] + (b, mul(mul(inv[b], a), b)) + row[k + 2:]
 
 
 def _class_orbits(orbit_of, class_of, count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Move orbits of the ``count`` classes: the images of the tuple orbits,
-    read from the orbit and the class of each row.  Returns each class's
-    orbit and the orbit sizes, orbits numbered by minimal class.
-
-    Moves commute with conjugation, so two tuple orbits have equal or
-    disjoint class images.
-    """
-    images: dict[int, set[int]] = {}  # tuple orbit -> its classes
+    """Move orbits of the ``count`` classes, the images of the members'
+    orbits, numbered by minimal class: each class's orbit and the sizes.
+    Moves commute with conjugation, so two images are equal or disjoint."""
+    images: dict[int, set[int]] = {}  # member orbit -> its classes
     for k, c in zip(orbit_of, class_of):
         images.setdefault(k, set()).add(c)
+    parts = sorted({tuple(sorted(image)) for image in images.values()})
     label = [-1] * count
-    parts: list[list[int]] = []
-    for image in map(sorted, images.values()):
-        k = label[image[0]]
-        if k < 0 and all(label[c] < 0 for c in image):
-            for c in image:
-                label[c] = len(parts)
-            parts.append(image)
-        elif k < 0 or parts[k] != image:
-            raise InternalInvariantViolation("class images of two move orbits overlap")
-    parts.sort()
     for k, part in enumerate(parts):
         for c in part:
+            if label[c] >= 0:
+                raise InternalInvariantViolation("class images of two move orbits overlap")
             label[c] = k
     return tuple(label), tuple(map(len, parts))
+
+
+def _tuple_partition(cls: SpaceClassification, orbit_cap: int) -> ComponentPartition:
+    """The tuple partition by a BFS over the pointed classes (see ``components``)."""
+    table, rows, position = cls.group.table, cls.rows, cls.position
+    pointed_of, conjugator_of = cls.pointed_of, cls.conjugator_of
+    nt = normalizer_fixing_point(cls.group).table
+    count = len(cls.pointed)
+    first, listed = 2 * cls.base_genus, len(rows) // max(count, 1)
+    owner = [-1] * count  # each class's class orbit
+    voltage = [0] * count  # w_c, with rep_c = w_c base_c in the root's tuple orbit
+    lift: list = [None] * count  # per class c and each k, the orbit label of n_k base_c
+    sizes: list[int] = []  # per class orbit, the size |C| |H| of each tuple orbit over it
+    reached = 0
+    # roots in order of first row; i is a listed row of the root
+    for root, i in dict(zip(pointed_of, range(len(rows)))).items():
+        if owner[root] >= 0:
+            continue
+        orbit, stab, reps = len(sizes), 1, [rows[i]]  # reps grows while it is walked
+        owner[root], voltage[root] = orbit, conjugator_of[i]
+        for rep in reps:
+            # the tuple orbits over C reach |C| listed - listed / |H| rows by a move
+            if reached + len(reps) * listed - listed // stab.bit_count() > orbit_cap:
+                raise OrbitCapExceeded(f"orbit closure exceeds cap {orbit_cap}")
+            for y in _moved(table, rep, first):
+                j = position.get(y)
+                if j is None or owner[pointed_of[j]] not in (-1, orbit):
+                    raise InternalInvariantViolation("orbit escaped the enumerated space")
+                d, k = pointed_of[j], conjugator_of[j]
+                if owner[d] < 0:
+                    owner[d], voltage[d] = orbit, k
+                    reps.append(y)
+                elif k != voltage[d] and stab != nt.full:  # a Schreier generator of H
+                    stab = nt.join(stab, nt.mul(k, nt.inverses[voltage[d]]))
+        reached += len(reps) * listed - listed // stab.bit_count()
+        sizes.append(len(reps) * stab.bit_count())
+        members = [h for h in range(nt.size) if stab >> h & 1]
+        least = [-1] * nt.size  # the least element of each left coset g H
+        for g in range(nt.size):
+            if least[g] < 0:
+                for h in members:
+                    least[nt.mul(g, h)] = g
+        tables: dict[int, list[int]] = {}  # per w_c^-1, or one when H is all of N(lam0)
+        for rep in reps:
+            c = pointed_of[position[rep]]
+            u = nt.inverses[voltage[c]] if stab != nt.full else 0
+            lift[c] = tables.get(u) or tables.setdefault(
+                u, [orbit * nt.size + least[nt.mul(k, u)] for k in range(nt.size)])
+    if reached > orbit_cap:
+        raise OrbitCapExceeded(f"orbit closure exceeds cap {orbit_cap}")
+    # tuple orbits numbered by first row, as a row-level BFS seeded in row order would
+    raw = [lift[c][k] for c, k in zip(pointed_of, conjugator_of)]
+    number = {label: n for n, label in enumerate(dict.fromkeys(raw))}
+    return ComponentPartition(
+        "tuples", cls.base_genus == 0, tuple([sizes[label // nt.size] for label in number]),
+        tuple(map(number.__getitem__, raw)), cls)
 
 
 def components(
@@ -188,29 +224,26 @@ def components(
 ) -> ComponentPartition:
     """Orbit partition of a whole space at the requested quotient level.
 
-    The BFS runs on the classification's rows only; ``tuple_partition``
-    supplies its result precomputed, one orbit id per row.  Moves commute
-    with conjugation, so the pointed and unpointed partitions are the
-    images of the tuple orbits under the class maps of ``classification``.
+    A BFS over the pointed classes finds the class orbits and the
+    stabilizer H of a tuple orbit over each (see the module docstring); one
+    pass over the rows numbers the tuple orbits by first row.  ``orbit_cap``
+    bounds the tuples reached by a move, |C| |H| - 1 per tuple orbit,
+    checked while C grows.  Both move directions are taken, so
+    ``convention`` does not matter.  ``tuple_partition`` supplies the tuple
+    partition; the class levels are its memoized ``quotients``.
     """
     if level not in ("tuples", "pointed", "unpointed"):
         raise ValueError(f"unknown level {level!r}")
     if tuple_partition is not None and tuple_partition.level != "tuples":
         raise ValueError("tuple_partition must be a tuple-level partition")
     if classification is None:
-        classification = classify_space(
-            G, base_genus, branch_count, type_filter, work_cap=work_cap,
-        )
-    cls = classification
+        classification = classify_space(G, base_genus, branch_count, type_filter,
+                                        work_cap=work_cap)
     if tuple_partition is None:
-        labels, count = _row_orbits(G.table, cls.rows, 2 * base_genus, convention, orbit_cap)
-        orbit_of = tuple(labels.values())  # a closed search adds no row, so in row order
-        orbit_sizes = tuple(map(Counter(orbit_of).__getitem__, range(count)))
-    else:
-        orbit_of, orbit_sizes = tuple_partition.orbit_of, tuple_partition.orbit_sizes
-        if len(orbit_of) != len(cls.rows):
-            raise ValueError("tuple_partition must have one orbit id per row of the space")
-    if level != "tuples":
-        class_of = cls.pointed_of if level == "pointed" else cls.unpointed_of
-        orbit_of, orbit_sizes = _class_orbits(orbit_of, class_of, len(getattr(cls, level)))
-    return ComponentPartition(level, base_genus == 0, orbit_sizes, orbit_of, cls)
+        tuple_partition = _tuple_partition(classification, orbit_cap)
+    elif len(tuple_partition.orbit_of) != len(classification.rows):
+        raise ValueError("tuple_partition must have one orbit id per row of the space")
+    if level == "tuples":
+        return tuple_partition
+    orbit_of, orbit_sizes = tuple_partition.quotients[level]
+    return ComponentPartition(level, base_genus == 0, orbit_sizes, orbit_of, classification)

@@ -366,6 +366,31 @@ def test_cache_rejects_digest_valid_bad_entry(tmp_path, defect):
     assert run_job(s)["meta"]["cache"] == {"hits": 2, "misses": 0}
 
 
+def test_cache_rejects_a_same_type_merge_on_genus_one(tmp_path):
+    # S3 g1 n4: merging two move orbits of one type keeps every per-row
+    # check, but their class images overlap those of the other orbits
+    s = dataclasses.replace(parse_job(json.dumps(spec_of({"base_genus": 1}))),
+                            cache_dir=str(tmp_path))
+    cold = run_job(s)
+    cache = ResultCache(str(tmp_path))
+    key = cache_key(s)
+    meta, data = cache.load(key, "components")
+    rows = cache.load(key, "tuples")[1]
+    classes = build_group(s)[0].table.classes
+    keys = {}
+    for k, orbit in enumerate(data):
+        keys.setdefault(orbit, tuple(sorted(classes[j] for j in rows[6 * k + 2:6 * k + 6])))
+    a, b = next((a, b) for a in keys for b in keys if a < b and keys[a] == keys[b])
+    merged = [a if orbit == b else orbit for orbit in data]
+    number = {}
+    merged = [number.setdefault(orbit, len(number)) for orbit in merged]
+    cache.store(key, "components", {"orbits": meta["orbits"] - 1}, merged)
+    with pytest.warns(CacheCorrupt, match="overlap"):
+        warm = run_job(s)
+    assert warm["meta"]["cache"] == {"hits": 1, "misses": 1}
+    assert comparison_payload(cold) == comparison_payload(warm)
+
+
 @pytest.mark.parametrize("overrides", [{}, {"base_genus": 1, "branch_points": 2}])
 def test_run_job_hashes_no_tuple(tmp_path, monkeypatch, overrides):
     # rows and per-row ids carry the space from classify_space to the

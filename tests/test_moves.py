@@ -10,10 +10,13 @@ from hurwitz import (
     OrbitCapExceeded,
     braid_orbit,
     branching_type_of,
+    classify_space,
     components,
     count_space,
     enumerate_tuples,
+    generate_group,
     hurwitz_move,
+    normalizer_fixing_point,
     parse_perm,
     pointed_class,
     tuple_from_entries,
@@ -271,3 +274,96 @@ def test_components_accepts_tuple_partition(s3):
     with pytest.raises(ValueError, match="one orbit id per row"):
         components(s3, 0, 4, level="pointed", tuple_partition=components(s3, 0, 3))
 
+
+
+# ---------------------------------------------------------------------------
+# the class-level search and its lift to tuple orbits
+
+
+def _group(degree, *gens):
+    return generate_group([parse_perm(g, degree) for g in gens])
+
+
+@pytest.fixture(scope="module")
+def a5():
+    return _group(5, "(1 2 3 4 5)", "(1 2 3)")
+
+
+@pytest.fixture(scope="module")
+def lift_spaces(matrix, twisted, s3, a5):
+    # A5 g0 n3 and C9 g0 n3 lift class orbits to several tuple orbits each
+    c9 = _group(9, "(1 2 3 4 5 6 7 8 9)")
+    s4 = _group(4, "(1 2 3 4)", "(1 2)")
+    return ([(G, g, n, None) for G, g, n in matrix] + twisted
+            + [(s3, 1, 2, None), (s3, 1, 3, None), (a5, 0, 3, None), (c9, 0, 3, None),
+               (s4, 0, 4, None)])
+
+
+def test_lifted_tuple_orbits_match_move_closure(lift_spaces):
+    # the reference is a move closure of every listed tuple, one tuple at a time
+    for G, g, n, bt in lift_spaces:
+        tuples = enumerate_tuples(G, g, n, bt)
+        expected = o.move_partition([as_pair(t) for t in tuples])
+        for convention in ("standard", "mirrored"):
+            part = components(G, g, n, bt, convention=convention)
+            got = [[as_pair(t) for t in orb] for orb in part.orbits]
+            assert got == expected, (G, g, n, bt, convention)
+            assert list(part.orbit_sizes) == list(map(len, expected))
+            first = {}
+            assert list(part.orbit_of) == [first.setdefault(k, len(first)) for k in part.orbit_of]
+
+
+def test_tuple_orbits_do_not_depend_on_the_marked_point(a5):
+    # each marked point gives its own N(lam0), classes, voltages and
+    # stabilizers; the tuple orbits they lift to are the same
+    c9 = _group(9, "(1 2 3 4 5 6 7 8 9)")
+    for G, n in [(a5, 3), (c9, 3), (_group(4, "(1 2 3 4)", "(1 2)"), 4)]:
+        part = components(G, 0, n)
+        for lam in range(1, G.degree):
+            assert components(G.with_marked_point(lam), 0, n).orbit_of == part.orbit_of
+
+
+def test_conjugation_maps_compose_as_the_normalizer_table(a5):
+    # conjugating by n_a after n_b is conjugating by n_a n_b = N.table.mul(a, b),
+    # and rows[i] is the conjugate by n_{conjugator_of[i]} of its class's first row
+    N = normalizer_fixing_point(a5)
+    maps = [a5.table.conjugation(s) for s in N.elements]
+    for a in range(N.order):
+        for b in range(N.order):
+            assert maps[N.table.mul(a, b)] == tuple(maps[a][j] for j in maps[b])
+    cls = classify_space(a5, 0, 3)
+    base = {}
+    for i, (row, c, k) in enumerate(zip(cls.rows, cls.pointed_of, cls.conjugator_of)):
+        base.setdefault(c, row)
+        assert row == tuple(maps[k][j] for j in base[c])
+        assert cls.position[row] == i
+
+
+def test_components_orbit_cap_is_exact_on_split_orbits(a5):
+    # the cap charges |C| |H| - 1 per tuple orbit, so it raises exactly
+    # when the tuples reached by a move exceed it; on A5 g0 n3 the 6 class
+    # orbits lift to 10 tuple orbits
+    cls = classify_space(a5, 0, 3)
+    part = components(a5, 0, 3, classification=cls)
+    assert len(part.quotients["pointed"][1]) == 6 and len(part.orbit_sizes) == 10
+    reached = len(cls.rows) - len(part.orbit_sizes)
+    assert components(a5, 0, 3, classification=cls, orbit_cap=reached) == part
+    with pytest.raises(OrbitCapExceeded):
+        components(a5, 0, 3, classification=cls, orbit_cap=reached - 1)
+
+
+def test_components_moves_the_pointed_classes_only(a5, monkeypatch):
+    # each pointed class is moved once: 2 (n - 1) moves of two products
+    # each, where a search over rows would move every one of |N(lam0)| rows
+    cls = classify_space(a5, 0, 3)
+    expected = components(a5, 0, 3, classification=cls)
+    calls = []
+    mul = a5.table.mul
+
+    def counting(x, s):
+        calls.append(1)
+        return mul(x, s)
+
+    monkeypatch.setattr(a5.table, "mul", counting)
+    assert components(a5, 0, 3, classification=cls) == expected
+    assert len(calls) <= 4 * (3 - 1) * len(cls.pointed) < len(cls.rows)
