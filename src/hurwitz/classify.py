@@ -37,6 +37,7 @@ from .perms import (
     normalizer_in_sym,
 )
 from .tuples import (
+    DEFAULT_WORK_CAP,
     BranchingType,
     HurwitzTuple,
     enumerate_tuples,
@@ -154,6 +155,16 @@ def relabel(t: HurwitzTuple, phi: Perm, G: PermGroup) -> tuple[HurwitzTuple, Per
     return conjugate_tuple(t, phi), new_group
 
 
+def _transversal(G: PermGroup, lam: int) -> dict[int, Perm]:
+    """Per point the minimal element of G moving ``lam`` to it (the last write wins)."""
+    return {g[lam]: g for g in reversed(G.elements)}
+
+
+def type_key(classes, ids) -> tuple[int, ...]:
+    """The index form of a branching type: the sorted ``classes`` of element indices ``ids``."""
+    return tuple(sorted([classes[j] for j in ids]))
+
+
 def change_marked_point(c: PointedClass, lam1: int, G: PermGroup) -> PointedClass:
     """Transport a pointed class at lam0 to the marked point lam1.
 
@@ -166,12 +177,11 @@ def change_marked_point(c: PointedClass, lam1: int, G: PermGroup) -> PointedClas
         raise PointOutOfRange(f"point {lam1} out of range for degree {G.degree}")
     if lam1 == lam0:
         return c
-    movers = [g for g in G.elements if g[lam0] == lam1]
-    if not movers:
+    g = _transversal(G, lam0).get(lam1)
+    if g is None:
         raise DegreeMismatch(
             f"no group element moves point {lam0} to {lam1}; the group is not transitive"
         )
-    g = min(movers)
     moved = conjugate_tuple(c.canonical, inverse(g))
     return pointed_class(moved, G, marked_point=lam1)
 
@@ -209,14 +219,13 @@ class SpaceClassification:
     """Everything the census and the reports need about one space.
 
     ``rows`` holds the space's tuples, sorted, as rows of ``group.table``
-    element indices, and ``position`` maps each row to its index;
-    ``pointed_of[k]`` and ``unpointed_of[k]`` are the positions of the
-    classes of ``rows[k]`` in ``pointed`` and ``unpointed``.  ``rows[k]``
-    is the conjugate by the ``conjugator_of[k]``-th element of N(lam0) of
-    its class's first listed row.  Built when first read: ``tuples`` (the
-    rows as ``HurwitzTuple``s), ``pointed_index`` and ``unpointed_index``
-    (the class maps keyed by tuple) and ``type_keys`` (per row, the sorted
-    class indices of its branch entries).
+    element indices; ``pointed_of[k]`` and ``unpointed_of[k]`` are the
+    positions of the classes of ``rows[k]`` in ``pointed`` and
+    ``unpointed``.  ``rows[k]`` is the conjugate by the ``conjugator_of[k]``-th
+    element of N(lam0) of its class's first listed row.  Built when first
+    read: ``tuples`` (the rows as ``HurwitzTuple``s), ``pointed_index`` and
+    ``unpointed_index`` (the class maps keyed by tuple) and ``type_keys``
+    (per row, the ``type_key`` of its branch entries).
     """
 
     group: PermGroup
@@ -229,7 +238,6 @@ class SpaceClassification:
     pointed_of: tuple[int, ...] = field(compare=False, repr=False)
     unpointed_of: tuple[int, ...] = field(compare=False, repr=False)
     conjugator_of: tuple[int, ...] = field(compare=False, repr=False)
-    position: dict[tuple[int, ...], int] = field(compare=False, repr=False)
 
     @cached_property
     def tuples(self) -> tuple[HurwitzTuple, ...]:
@@ -248,7 +256,7 @@ class SpaceClassification:
     @cached_property
     def type_keys(self) -> tuple[tuple[int, ...], ...]:
         classes, first = self.group.table.classes, 2 * self.base_genus
-        return tuple([tuple(sorted([classes[j] for j in row[first:]])) for row in self.rows])
+        return tuple([type_key(classes, row[first:]) for row in self.rows])
 
     @property
     def census(self) -> SpaceCensus:
@@ -258,7 +266,7 @@ class SpaceClassification:
         # a twisted type filter can carry a canonical outside the listed rows
         for col, members in enumerate((self.pointed, self.unpointed), 1):
             for c in members:
-                key = tuple(sorted([classes[index[e]] for e in c.canonical.branches]))
+                key = type_key(classes, map(index.__getitem__, c.canonical.branches))
                 by_key.setdefault(key, [0, 0, 0])[col] += 1
         rows = []
         for key, counts in by_key.items():
@@ -277,17 +285,16 @@ def classify_space(
     type_filter: BranchingType | None = None,
     *,
     work_cap: int | None = None,
-    tuples: tuple[HurwitzTuple, ...] | None = None,
     rows: tuple[tuple[int, ...], ...] | None = None,
 ) -> SpaceClassification:
     """Enumerate a space and classify it at both quotient levels.
 
-    ``tuples`` or ``rows`` short-circuits the enumeration.  ``rows`` gives
-    the tuples as rows of ``G.table`` element indices (the cache decoder
-    passes its rows); ``tuples`` is mapped to rows first, and both take
-    the same sweep.  Like the output of ``enumerate_tuples`` the list must
-    be sorted and hold every conjugate of a listed tuple by G; its relation
-    and generation are not checked here.  Each pointed orbit
+    ``rows`` short-circuits the enumeration: the tuples as rows of
+    ``G.table`` element indices (the cache decoder passes its rows);
+    without it each enumerated tuple is mapped to its row as it is read.
+    Like the output of ``enumerate_tuples`` the rows must be sorted and
+    hold every conjugate of a listed tuple by G; their relation and
+    generation are not checked here.  Each pointed orbit
     must have |N(lam0)| members (the action is free).  The fiber
     identity  #tuples = #pointed * |Stab_N(lam0)(type)|  is enforced:
     conjugation twists a branching type classwise, so the stabilizer of
@@ -295,24 +302,11 @@ def classify_space(
     filter is conjugation-stable) is what acts freely on the filtered
     tuple set.
     """
-    from .tuples import DEFAULT_WORK_CAP
-
-    if rows is None and tuples is None:
-        tuples = tuple(
-            enumerate_tuples(
-                G,
-                base_genus,
-                branch_count,
-                type_filter,
-                work_cap=DEFAULT_WORK_CAP if work_cap is None else work_cap,
-            )
-        )
     table = G.table
     if rows is None:
-        try:
-            rows = tuple([tuple(map(table.index.__getitem__, t.entries)) for t in tuples])
-        except KeyError:
-            raise InternalInvariantViolation("a listed tuple has an entry outside G") from None
+        rows = tuple([tuple(map(table.index.__getitem__, t.entries)) for t in enumerate_tuples(
+            G, base_genus, branch_count, type_filter,
+            work_cap=DEFAULT_WORK_CAP if work_cap is None else work_cap)])
     N = normalizer_fixing_point(G)
     position = {row: k for k, row in enumerate(rows)}
     # images[e][k]: index of the conjugate of element e by the k-th element of N(lam0)
@@ -336,9 +330,9 @@ def classify_space(
         found.append((min(orbit), k))
     stab_order = N.order
     if type_filter is not None:
-        fil = sorted(table.index[G.class_of(rep)] for rep, m in type_filter.entries
-                     for _ in range(m))
-        stab_order = sum(sorted(map(table.classes.__getitem__, col)) == fil
+        fil = type_key(table.classes, [table.index[rep] for rep, m in type_filter.entries
+                                       for _ in range(m)])
+        stab_order = sum(type_key(table.classes, col) == fil
                          for col in zip(*map(images.__getitem__, fil)))
     if len(rows) != len(found) * stab_order:
         raise FreeActionViolated(
@@ -348,16 +342,14 @@ def classify_space(
     order = sorted(range(len(found)), key=lambda c: found[c][0])
     rank = {c: r for r, c in enumerate(order)}
     pointed_of = [rank[c] for c in pointed_of]
-    pointed = tuple(PointedClass(
-        tuples[position[m]] if tuples is not None and m in position
-        else HurwitzTuple(tuple(map(table.elements.__getitem__, m)), base_genus),
-        G.marked_point) for m, _ in map(found.__getitem__, order))
+    pointed = tuple([PointedClass(HurwitzTuple(tuple(map(table.elements.__getitem__, m)),
+                                               base_genus), G.marked_point)
+                     for m, _ in map(found.__getitem__, order)])
 
     # unpointed: N_Sym(G) = N(lam0) T, T the minimal element of G moving lam0
-    # to each point (the last write wins); a class is the union of the pointed
-    # classes of r t r^-1 over r in T, and its first pointed class is its minimum
-    movers = {g[G.marked_point]: g for g in reversed(G.elements)}
-    moved = list(zip(*map(table.conjugation, movers.values())))
+    # to each point; a class is the union of the pointed classes of r t r^-1
+    # over r in T, and its first pointed class is its minimum
+    moved = list(zip(*map(table.conjugation, _transversal(G, G.marked_point).values())))
     unpointed_of = [-1] * len(pointed)
     unpointed: list[UnpointedClass] = []
     for c in range(len(pointed)):
@@ -376,7 +368,7 @@ def classify_space(
     return SpaceClassification(
         G, base_genus, branch_count, type_filter, rows, pointed, unpointed,
         tuple(pointed_of), tuple(map(unpointed_of.__getitem__, pointed_of)),
-        tuple(conjugator_of), position,
+        tuple(conjugator_of),
     )
 
 

@@ -23,7 +23,7 @@ from itertools import chain
 
 from . import __version__
 from .cache import ResultCache
-from .classify import SpaceClassification, classify_space
+from .classify import SpaceClassification, classify_space, type_key
 from .covers import universal_fiber_report
 from .errors import (
     InputError,
@@ -280,8 +280,8 @@ def _classify_cached_rows(group: PermGroup, base_genus: int, branch_points: int,
         _check_relation_and_generation(table, first, rows)
         raise ValueError(f"the rows do not classify: {exc}") from None
     if type_filter is not None:
-        want = tuple(sorted(table.classes[table.index[rep]]
-                            for rep, m in type_filter.entries for _ in range(m)))
+        want = type_key(table.classes, [table.index[rep] for rep, m in type_filter.entries
+                                        for _ in range(m)])
         if any(key != want for key in cls.type_keys):
             raise ValueError("a row breaks the branching type")
     _check_relation_and_generation(
@@ -301,17 +301,16 @@ def run_job(spec: JobSpec) -> dict:
     key = cache_key(spec)
     stats: dict = {}
 
-    cls = cache.load(key, "tuples", partial(
-        _classify_cached_rows, group, spec.base_genus, spec.branch_points, type_filter))
-    if cls is None:
-        tuples = tuple(enumerate_tuples(group, spec.base_genus, spec.branch_points, type_filter,
-                                        work_cap=spec.caps.work, stats=stats))
-        cls = classify_space(group, spec.base_genus, spec.branch_points, type_filter,
-                             tuples=tuples)
+    space = (group, spec.base_genus, spec.branch_points, type_filter)
+    cls = cache.load(key, "tuples", partial(_classify_cached_rows, *space))
+    index, strings, classes = group.table.index, group.table.strings, group.table.classes
+    if cls is None:  # tuples become rows as they are read, so no local keeps the tuple list
+        cls = classify_space(*space, rows=tuple([tuple(map(index.__getitem__, t.entries)) for t in
+                                                 enumerate_tuples(*space, work_cap=spec.caps.work,
+                                                                  stats=stats)]))
         cache.store(key, "tuples", {"count": len(cls.rows)}, list(chain.from_iterable(cls.rows)))
 
-    compute_components = partial(components, group, spec.base_genus, spec.branch_points,
-                                 type_filter, orbit_cap=spec.caps.orbit, classification=cls)
+    compute_components = partial(components, *space, orbit_cap=spec.caps.orbit, classification=cls)
     part_tuples = cache.load(key, "components", partial(_partition_from_assignment, cls))
     if part_tuples is None:
         part_tuples = compute_components(level="tuples")
@@ -324,12 +323,11 @@ def run_job(spec: JobSpec) -> dict:
     }
 
     census = cls.census
-    index, strings, classes = group.table.index, group.table.strings, group.table.classes
     classes_json = []
     for c in cls.pointed:
         report = universal_fiber_report(c, group)
         row = [index[e] for e in c.canonical.entries]
-        branch = sorted([classes[j] for j in row[2 * spec.base_genus:]])
+        branch = type_key(classes, row[2 * spec.base_genus:])
         classes_json.append(
             {
                 "canonical": [strings[j] for j in row],

@@ -119,11 +119,13 @@ class ComponentPartition:
 
     @cached_property
     def quotients(self) -> dict[Level, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Per class level, each class's orbit and the orbit sizes: the class
-        images of the orbits of this tuple partition."""
+        """Per class level, each class's orbit and the orbit sizes: the pointed
+        class images of the tuple orbits, then their unpointed class images."""
         cls = self.classification
-        return {"pointed": _class_orbits(self.orbit_of, cls.pointed_of, len(cls.pointed)),
-                "unpointed": _class_orbits(self.orbit_of, cls.unpointed_of, len(cls.unpointed))}
+        pointed = _class_orbits(self.orbit_of, cls.pointed_of, len(cls.pointed))
+        up = dict(zip(cls.pointed_of, cls.unpointed_of))  # one entry per pointed class
+        return {"pointed": pointed, "unpointed": _class_orbits(
+            pointed[0], map(up.__getitem__, range(len(cls.pointed))), len(cls.unpointed))}
 
 
 def _moved(table: ElementTable, row: tuple[int, ...], first: int):
@@ -155,7 +157,7 @@ def _class_orbits(orbit_of, class_of, count: int) -> tuple[tuple[int, ...], tupl
 
 def _tuple_partition(cls: SpaceClassification, orbit_cap: int) -> ComponentPartition:
     """The tuple partition by a BFS over the pointed classes (see ``components``)."""
-    table, rows, position = cls.group.table, cls.rows, cls.position
+    table, rows, position = cls.group.table, cls.rows, {r: k for k, r in enumerate(cls.rows)}
     pointed_of, conjugator_of = cls.pointed_of, cls.conjugator_of
     nt = normalizer_fixing_point(cls.group).table
     count = len(cls.pointed)

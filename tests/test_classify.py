@@ -182,10 +182,10 @@ def test_classify_rejects_a_list_missing_conjugates_by_g(s3):
     # one pointed class of S3 g0 n4 passes the fiber check (2 = 1 * |N(lam0)|),
     # but its conjugates by the elements of G moving the marked point are missing
     cls = classify_space(s3, 0, 4)
-    one = tuple(t for t in cls.tuples if cls.pointed_index[t] == 0)
+    one = tuple(row for row, c in zip(cls.rows, cls.pointed_of) if c == 0)
     assert len(one) == 2
     with pytest.raises(InternalInvariantViolation, match="not listed") as exc:
-        classify_space(s3, 0, 4, tuples=one)
+        classify_space(s3, 0, 4, rows=one)
     assert not isinstance(exc.value, FreeActionViolated)
 
 
@@ -350,13 +350,14 @@ def test_relabel_transports_marked_point(s3):
 
 
 def test_classify_accepts_precomputed_tuples(s3):
-    ts = enumerate_tuples(s3, 0, 3)
+    rows = tuple(tuple(map(s3.table.index.__getitem__, t.entries))
+                 for t in enumerate_tuples(s3, 0, 3))
     a = classify_space(s3, 0, 3)
-    b = classify_space(s3, 0, 3, tuples=ts)
+    b = classify_space(s3, 0, 3, rows=rows)
     assert a.pointed == b.pointed and a.unpointed == b.unpointed
 
 
 def test_classify_rejects_wrong_fiber(s3):
-    ts = enumerate_tuples(s3, 0, 3)
+    rows = classify_space(s3, 0, 3).rows
     with pytest.raises(FreeActionViolated):
-        classify_space(s3, 0, 3, tuples=ts[:-1])
+        classify_space(s3, 0, 3, rows=rows[:-1])

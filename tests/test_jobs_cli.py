@@ -1,11 +1,13 @@
 """Job documents, reports, result cache, and the command-line surface."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import struct
 import subprocess
 import sys
+import weakref
 from array import array
 
 import pytest
@@ -31,6 +33,7 @@ from hurwitz import (
     run_job,
 )
 from hurwitz.cache import _encode
+import hurwitz.jobs as jobs
 from hurwitz.jobs import build_group
 from hurwitz.cli import main
 
@@ -425,6 +428,32 @@ def test_warm_run_builds_one_tuple_per_pointed_class(tmp_path, monkeypatch, over
     assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
     assert len(built) <= warm["census"]["pointed"] < warm["census"]["tuples"]
     assert comparison_payload(cold) == comparison_payload(warm)
+
+
+def test_cold_run_drops_the_enumerated_tuples_before_the_reports(tmp_path, monkeypatch):
+    # after enumeration the space lives only as index rows: none of the
+    # enumerated HurwitzTuples is alive when the fiber reports start
+    refs, alive = [], []
+    enumerate_tuples, report = jobs.enumerate_tuples, jobs.universal_fiber_report
+
+    def keeping(*args, **kwargs):
+        out = enumerate_tuples(*args, **kwargs)
+        refs.extend(map(weakref.ref, out))
+        return out
+
+    def first_report(*args):
+        if not alive:
+            gc.collect()
+            alive.append(sum(r() is not None for r in refs))
+        return report(*args)
+
+    monkeypatch.setattr(jobs, "enumerate_tuples", keeping)
+    monkeypatch.setattr(jobs, "universal_fiber_report", first_report)
+    doc = {"format_version": 1, "degree": 5, "generators": ["(1 2 3 4 5)", "(1 2 3)"],
+           "base_genus": 0, "branch_points": 3}
+    out = run_job(dataclasses.replace(parse_job(doc), cache_dir=str(tmp_path)))
+    assert out["meta"]["cache"]["misses"] == 2
+    assert len(refs) == out["census"]["tuples"] == 2280 and alive == [0]
 
 
 def test_warm_equals_cold_under_twisted_types(tmp_path, twisted):

@@ -23,6 +23,7 @@ from hurwitz import (
     unpointed_class,
     validate_tuple,
 )
+from hurwitz.moves import _class_orbits
 
 
 def as_pair(t):
@@ -336,7 +337,18 @@ def test_conjugation_maps_compose_as_the_normalizer_table(a5):
     for i, (row, c, k) in enumerate(zip(cls.rows, cls.pointed_of, cls.conjugator_of)):
         base.setdefault(c, row)
         assert row == tuple(maps[k][j] for j in base[c])
-        assert cls.position[row] == i
+        assert cls.rows.index(row) == i
+
+
+def test_unpointed_quotient_is_the_image_of_the_tuple_orbits(matrix, twisted, s3, a5):
+    # the unpointed partition comes from the pointed orbits through the
+    # pointed -> unpointed class map; the reference maps every row's orbit
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted + [
+            (s3, 1, 4, None), (a5, 0, 3, None)]:
+        cls = classify_space(G, g, n, bt)
+        part = components(G, g, n, bt, classification=cls)
+        expected = _class_orbits(part.orbit_of, cls.unpointed_of, len(cls.unpointed))
+        assert part.quotients["unpointed"] == expected, (G, g, n, bt)
 
 
 def test_components_orbit_cap_is_exact_on_split_orbits(a5):
