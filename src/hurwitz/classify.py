@@ -219,13 +219,14 @@ class SpaceClassification:
     """Everything the census and the reports need about one space.
 
     ``rows`` holds the space's tuples, sorted, as rows of ``group.table``
-    element indices; ``pointed_of[k]`` and ``unpointed_of[k]`` are the
-    positions of the classes of ``rows[k]`` in ``pointed`` and
-    ``unpointed``.  ``rows[k]`` is the conjugate by the ``conjugator_of[k]``-th
-    element of N(lam0) of its class's first listed row.  Built when first
-    read: ``tuples`` (the rows as ``HurwitzTuple``s), ``pointed_index`` and
-    ``unpointed_index`` (the class maps keyed by tuple) and ``type_keys``
-    (per row, the ``type_key`` of its branch entries).
+    element indices; ``pointed_of[k]`` is the position in ``pointed`` of the
+    class of ``rows[k]``, and ``unpointed_of[c]`` the position in
+    ``unpointed`` of the class of ``pointed[c]``.  ``rows[k]`` is the
+    conjugate by the ``conjugator_of[k]``-th element of N(lam0) of its
+    class's first listed row.  Built when first read: ``tuples`` (the rows
+    as ``HurwitzTuple``s), ``pointed_index`` and ``unpointed_index`` (the
+    class maps keyed by tuple) and ``type_keys`` (per row, the
+    ``type_key`` of its branch entries).
     """
 
     group: PermGroup
@@ -251,7 +252,7 @@ class SpaceClassification:
 
     @cached_property
     def unpointed_index(self) -> dict[HurwitzTuple, int]:
-        return dict(zip(self.tuples, self.unpointed_of))
+        return dict(zip(self.tuples, map(self.unpointed_of.__getitem__, self.pointed_of)))
 
     @cached_property
     def type_keys(self) -> tuple[tuple[int, ...], ...]:
@@ -284,14 +285,15 @@ def classify_space(
     branch_count: int,
     type_filter: BranchingType | None = None,
     *,
-    work_cap: int | None = None,
+    work_cap: int = DEFAULT_WORK_CAP,
     rows: tuple[tuple[int, ...], ...] | None = None,
 ) -> SpaceClassification:
-    """Enumerate a space and classify it at both quotient levels.
+    """Enumerate a space and classify it at both quotient levels: each row
+    gets its pointed class and each pointed class its unpointed class.
 
-    ``rows`` short-circuits the enumeration: the tuples as rows of
-    ``G.table`` element indices (the cache decoder passes its rows);
-    without it each enumerated tuple is mapped to its row as it is read.
+    ``rows`` short-circuits the enumeration, which ``work_cap`` bounds: the
+    tuples as rows of ``G.table`` element indices (the cache decoder passes
+    its rows); without it each enumerated tuple is mapped to its row as read.
     Like the output of ``enumerate_tuples`` the rows must be sorted and
     hold every conjugate of a listed tuple by G; their relation and
     generation are not checked here.  Each pointed orbit
@@ -305,8 +307,7 @@ def classify_space(
     table = G.table
     if rows is None:
         rows = tuple([tuple(map(table.index.__getitem__, t.entries)) for t in enumerate_tuples(
-            G, base_genus, branch_count, type_filter,
-            work_cap=DEFAULT_WORK_CAP if work_cap is None else work_cap)])
+            G, base_genus, branch_count, type_filter, work_cap=work_cap)])
     N = normalizer_fixing_point(G)
     position = {row: k for k, row in enumerate(rows)}
     # images[e][k]: index of the conjugate of element e by the k-th element of N(lam0)
@@ -367,8 +368,7 @@ def classify_space(
 
     return SpaceClassification(
         G, base_genus, branch_count, type_filter, rows, pointed, unpointed,
-        tuple(pointed_of), tuple(map(unpointed_of.__getitem__, pointed_of)),
-        tuple(conjugator_of),
+        tuple(pointed_of), tuple(unpointed_of), tuple(conjugator_of),
     )
 
 
@@ -378,13 +378,7 @@ def count_space(
     branch_count: int,
     type_filter: BranchingType | None = None,
     *,
-    work_cap: int | None = None,
+    work_cap: int = DEFAULT_WORK_CAP,
 ) -> SpaceCensus:
     """Census of one space: totals and the per-branching-type breakdown."""
-    return classify_space(
-        G,
-        base_genus,
-        branch_count,
-        type_filter,
-        work_cap=work_cap,
-    ).census
+    return classify_space(G, base_genus, branch_count, type_filter, work_cap=work_cap).census

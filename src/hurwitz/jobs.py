@@ -310,7 +310,7 @@ def run_job(spec: JobSpec) -> dict:
                                                                   stats=stats)]))
         cache.store(key, "tuples", {"count": len(cls.rows)}, list(chain.from_iterable(cls.rows)))
 
-    compute_components = partial(components, *space, orbit_cap=spec.caps.orbit, classification=cls)
+    compute_components = partial(components, cls, orbit_cap=spec.caps.orbit)
     part_tuples = cache.load(key, "components", partial(_partition_from_assignment, cls))
     if part_tuples is None:
         part_tuples = compute_components(level="tuples")

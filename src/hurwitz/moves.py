@@ -14,7 +14,8 @@ implemented and the partition is only a refinement (the component count
 is an upper bound).  Results carry an ``exact`` flag accordingly.
 
 Moves touch only branch slots, so in every genus they commute with
-conjugation by N(lam0), and ``components`` searches the pointed classes.
+conjugation by N(lam0), and ``components`` searches the pointed classes
+of one ``SpaceClassification``.
 Class c gets a row rep_c = w_c base_c (base_c its first listed row) in
 the root's tuple orbit O.  A move from rep_c onto the row n_k base_c' of
 a class met before gives the Schreier generator n_k w_c'^-1 of
@@ -30,10 +31,9 @@ from functools import cached_property
 from typing import Literal
 
 from .errors import IndexOutOfRange, InternalInvariantViolation, OrbitCapExceeded
-from .perms import (ElementTable, PermGroup, compose, generate_group, inverse,
-                    normalizer_fixing_point)
-from .tuples import BranchingType, HurwitzTuple
-from .classify import SpaceClassification, classify_space
+from .perms import ElementTable, compose, generate_group, inverse, normalizer_fixing_point
+from .tuples import HurwitzTuple
+from .classify import SpaceClassification
 
 DEFAULT_ORBIT_CAP = 10**7
 
@@ -62,12 +62,11 @@ def hurwitz_move(t: HurwitzTuple, i: int, *, inverse_move: bool = False,
     return HurwitzTuple(tuple(e), t.base_genus)
 
 
-def braid_orbit(t: HurwitzTuple, *, orbit_cap: int = DEFAULT_ORBIT_CAP,
-                convention: Convention = "standard") -> tuple[HurwitzTuple, ...]:
+def braid_orbit(t: HurwitzTuple, *, orbit_cap: int = DEFAULT_ORBIT_CAP) -> tuple[HurwitzTuple, ...]:
     """Closure of one tuple under all elementary moves, both directions.
 
     A BFS on index rows of the group the entries generate, which moves
-    never leave, so both conventions give it.  At most ``orbit_cap``
+    never leave, so either convention gives it.  At most ``orbit_cap``
     tuples, the seed included; sorted in the global total order.
     """
     table = generate_group(t.entries).table
@@ -123,9 +122,8 @@ class ComponentPartition:
         class images of the tuple orbits, then their unpointed class images."""
         cls = self.classification
         pointed = _class_orbits(self.orbit_of, cls.pointed_of, len(cls.pointed))
-        up = dict(zip(cls.pointed_of, cls.unpointed_of))  # one entry per pointed class
-        return {"pointed": pointed, "unpointed": _class_orbits(
-            pointed[0], map(up.__getitem__, range(len(cls.pointed))), len(cls.unpointed))}
+        return {"pointed": pointed,
+                "unpointed": _class_orbits(pointed[0], cls.unpointed_of, len(cls.unpointed))}
 
 
 def _moved(table: ElementTable, row: tuple[int, ...], first: int):
@@ -212,40 +210,30 @@ def _tuple_partition(cls: SpaceClassification, orbit_cap: int) -> ComponentParti
 
 
 def components(
-    G: PermGroup,
-    base_genus: int,
-    branch_count: int,
-    type_filter: BranchingType | None = None,
+    classification: SpaceClassification,
     *,
     level: Level = "tuples",
-    convention: Convention = "standard",
     orbit_cap: int = DEFAULT_ORBIT_CAP,
-    work_cap: int | None = None,
-    classification: SpaceClassification | None = None,
     tuple_partition: ComponentPartition | None = None,
 ) -> ComponentPartition:
-    """Orbit partition of a whole space at the requested quotient level.
+    """Orbit partition of a classified space at the requested quotient level.
 
     A BFS over the pointed classes finds the class orbits and the
     stabilizer H of a tuple orbit over each (see the module docstring); one
     pass over the rows numbers the tuple orbits by first row.  ``orbit_cap``
     bounds the tuples reached by a move, |C| |H| - 1 per tuple orbit,
-    checked while C grows.  Both move directions are taken, so
-    ``convention`` does not matter.  ``tuple_partition`` supplies the tuple
-    partition; the class levels are its memoized ``quotients``.
+    checked while C grows.  ``tuple_partition``, a tuple-level partition of
+    this very ``classification``, supplies the tuple partition; the class
+    levels are its memoized ``quotients``.
     """
     if level not in ("tuples", "pointed", "unpointed"):
         raise ValueError(f"unknown level {level!r}")
-    if tuple_partition is not None and tuple_partition.level != "tuples":
-        raise ValueError("tuple_partition must be a tuple-level partition")
-    if classification is None:
-        classification = classify_space(G, base_genus, branch_count, type_filter,
-                                        work_cap=work_cap)
     if tuple_partition is None:
         tuple_partition = _tuple_partition(classification, orbit_cap)
-    elif len(tuple_partition.orbit_of) != len(classification.rows):
-        raise ValueError("tuple_partition must have one orbit id per row of the space")
+    elif tuple_partition.level != "tuples" or tuple_partition.classification is not classification:
+        raise ValueError("tuple_partition must be a tuple-level partition of this classification")
     if level == "tuples":
         return tuple_partition
     orbit_of, orbit_sizes = tuple_partition.quotients[level]
-    return ComponentPartition(level, base_genus == 0, orbit_sizes, orbit_of, classification)
+    return ComponentPartition(level, classification.base_genus == 0, orbit_sizes, orbit_of,
+                              classification)

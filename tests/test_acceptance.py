@@ -199,26 +199,32 @@ def test_criterion_06_braid_move_invariants(spaces):
 
 def test_criterion_07_partition_consistency(matrix, v4):
     for G, g, n in matrix:
-        c = count_space(G, g, n)
+        cls = classify_space(G, g, n)
+        c = cls.census
         for level, total in [
             ("tuples", c.tuple_count),
             ("pointed", c.pointed_count),
             ("unpointed", c.unpointed_count),
         ]:
-            part = components(G, g, n, level=level)
+            part = components(cls, level=level)
             assert sum(part.orbit_sizes) == total
-        std = components(G, g, n)
-        mir = components(G, g, n, convention="mirrored")
-        assert std.orbits == mir.orbits
+        # the mirrored moves, either way, keep every tuple orbit
+        for orb in components(cls).orbits:
+            members = set(orb)
+            for t in orb:
+                for i in range(1, n):
+                    for inv in (False, True):
+                        m = hurwitz_move(t, i, inverse_move=inv, convention="mirrored")
+                        assert m in members, (G, g, n, t, i, inv)
 
-    part = components(v4, 0, 3)
+    part = components(classify_space(v4, 0, 3))
     assert part.orbit_sizes == (6,)
     oracle_orbits = o.move_partition(
         o.brute_force_tuples(list(v4.elements), 4, 0, 3)
     )
     assert [len(p) for p in oracle_orbits] == [6]
-    _report(7, "orbit sizes sum to censuses at all levels; mirrored "
-               "convention identical; V4 n3 single orbit of 6")
+    _report(7, "orbit sizes sum to censuses at all levels; every tuple "
+               "orbit closed under mirrored moves; V4 n3 single orbit of 6")
 
 
 def test_criterion_08_marked_point_change(s3):

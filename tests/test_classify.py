@@ -145,11 +145,12 @@ def test_sweep_index_matches_class_functions(matrix, twisted):
         assert set(cls.pointed_index) == set(cls.unpointed_index) == set(cls.tuples)
         # rows[k] is tuples[k] in element indices, and the tuple-keyed
         # views agree with the per-row class ids
-        assert len(cls.rows) == len(cls.pointed_of) == len(cls.unpointed_of) == len(cls.tuples)
+        assert len(cls.rows) == len(cls.pointed_of) == len(cls.tuples)
+        assert len(cls.unpointed_of) == len(cls.pointed)
         for k, t in enumerate(cls.tuples):
             assert cls.rows[k] == tuple(G.table.index[e] for e in t.entries)
             assert cls.pointed_index[t] == cls.pointed_of[k]
-            assert cls.unpointed_index[t] == cls.unpointed_of[k]
+            assert cls.unpointed_index[t] == cls.unpointed_of[cls.pointed_of[k]]
         # pointed_class(t) == c exactly when t lies in the N(lam0)-orbit of
         # c's canonical, and unpointed_class is constant on that orbit
         orbits, unpointed = {}, {}
@@ -166,6 +167,17 @@ def test_sweep_index_matches_class_functions(matrix, twisted):
     # the centralizer C2^3 fixes every tuple, so each orbit has |N_Sym|/|Z| members
     assert (normalizer_in_sym(c2_cubed).order, centralizer_in_sym(c2_cubed).order) == (1344, 8)
     assert all(u.orbit_size == 1344 // 8 for u in cls.unpointed)
+
+
+def test_unpointed_of_maps_each_pointed_class(matrix, twisted, s3):
+    # unpointed_of has one entry per pointed class: the position of the
+    # Perm-level N_Sym(G) class of the pointed class's canonical
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted + [(s3, 1, 4, None)]:
+        cls = classify_space(G, g, n, bt)
+        assert len(cls.unpointed_of) == len(cls.pointed)
+        position = {u: k for k, u in enumerate(cls.unpointed)}
+        for c, u in zip(cls.pointed, cls.unpointed_of):
+            assert u == position[unpointed_class(c.canonical, G)], (G, g, n, bt, c)
 
 
 def test_rows_input_takes_the_same_sweep(matrix, twisted):

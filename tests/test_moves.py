@@ -12,7 +12,6 @@ from hurwitz import (
     branching_type_of,
     classify_space,
     components,
-    count_space,
     enumerate_tuples,
     generate_group,
     hurwitz_move,
@@ -141,11 +140,12 @@ def test_orbit_caps_bound_the_tuples_reached(s3):
     assert len(braid_orbit(t, orbit_cap=size)) == size
     with pytest.raises(OrbitCapExceeded):
         braid_orbit(t, orbit_cap=size - 1)
-    part = components(s3, 0, 4)
+    cls = classify_space(s3, 0, 4)
+    part = components(cls)
     reached = sum(part.orbit_sizes) - len(part.orbit_sizes)
-    assert components(s3, 0, 4, orbit_cap=reached) == part
+    assert components(cls, orbit_cap=reached) == part
     with pytest.raises(OrbitCapExceeded):
-        components(s3, 0, 4, orbit_cap=reached - 1)
+        components(cls, orbit_cap=reached - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ FROZEN_TUPLE_ORBITS = {
 @pytest.mark.parametrize("name,g,n", sorted(FROZEN_TUPLE_ORBITS))
 def test_components_frozen_and_oracle(name, g, n, request):
     G = request.getfixturevalue(name)
-    part = components(G, g, n)
+    part = components(classify_space(G, g, n))
     assert list(part.orbit_sizes) == FROZEN_TUPLE_ORBITS[(name, g, n)]
     oracle_parts = o.move_partition(
         o.brute_force_tuples(list(G.elements), G.degree, g, n)
@@ -180,19 +180,20 @@ def test_components_frozen_and_oracle(name, g, n, request):
 
 def test_component_sizes_sum_to_census(matrix):
     for G, g, n in matrix:
-        c = count_space(G, g, n)
+        cls = classify_space(G, g, n)
+        c = cls.census
         for level, total in [
             ("tuples", c.tuple_count),
             ("pointed", c.pointed_count),
             ("unpointed", c.unpointed_count),
         ]:
-            part = components(G, g, n, level=level)
+            part = components(cls, level=level)
             assert sum(part.orbit_sizes) == total
             assert part.level == level
 
 
 def test_component_orbits_are_disjoint_cover(s3):
-    part = components(s3, 0, 4)
+    part = components(classify_space(s3, 0, 4))
     seen = set()
     for orb in part.orbits:
         assert not (set(orb) & seen)
@@ -200,18 +201,11 @@ def test_component_orbits_are_disjoint_cover(s3):
     assert len(seen) == 96
 
 
-def test_mirrored_convention_same_partition(matrix):
-    for G, g, n in matrix:
-        std = components(G, g, n)
-        mir = components(G, g, n, convention="mirrored")
-        assert std.orbit_sizes == mir.orbit_sizes
-        assert std.orbits == mir.orbits
-
-
 def test_pointed_components_project_tuple_components(s3):
     # each tuple-level orbit projects onto a union of pointed-level orbits
-    tpart = components(s3, 0, 4)
-    ppart = components(s3, 0, 4, level="pointed")
+    cls = classify_space(s3, 0, 4)
+    tpart = components(cls)
+    ppart = components(cls, level="pointed")
     pointed_orbit_of = {}
     for k, orb in enumerate(ppart.orbits):
         for c in orb:
@@ -228,9 +222,10 @@ def test_typed_space_components(s3):
     from hurwitz import make_branching_type
 
     bt = make_branching_type(s3, [(parse_perm("(1 2)", 3), 4)])
-    part = components(s3, 0, 4, bt)
+    cls = classify_space(s3, 0, 4, bt)
+    part = components(cls)
     assert list(part.orbit_sizes) == [24]
-    ppart = components(s3, 0, 4, bt, level="pointed")
+    ppart = components(cls, level="pointed")
     assert sum(ppart.orbit_sizes) == 12
 
 
@@ -240,8 +235,9 @@ def test_class_components_match_oracle(matrix, twisted):
         norm = o.o_normalizer(elems, d)
         fixed = [s for s in norm if s[G.marked_point] == G.marked_point]
         tuples = [as_pair(t) for t in enumerate_tuples(G, g, n, bt)]
+        cls = classify_space(G, g, n, bt)
         for level, conj in (("pointed", fixed), ("unpointed", norm)):
-            part = components(G, g, n, bt, level=level)
+            part = components(cls, level=level)
             got = [[as_pair(t) for t in orb] for orb in part.orbits]
             assert got == o.class_move_partition(tuples, conj), (G, g, n, bt, level)
 
@@ -256,24 +252,33 @@ def test_components_match_oracle_on_twisted_and_genus_one(matrix, twisted, s3):
             # the twisted groups are abelian: a class is one element
             branches = sorted(rep for rep, m in bt.entries for _ in range(m))
             tuples = [t for t in tuples if sorted(t[1]) == branches]
-        expected = o.move_partition(tuples)
-        for convention in ("standard", "mirrored"):
-            part = components(G, g, n, bt, convention=convention)
-            got = [[as_pair(t) for t in orb] for orb in part.orbits]
-            assert got == expected, (G, g, n, bt, convention)
+        part = components(classify_space(G, g, n, bt))
+        got = [[as_pair(t) for t in orb] for orb in part.orbits]
+        assert got == o.move_partition(tuples), (G, g, n, bt)
 
 
 def test_components_accepts_tuple_partition(s3):
-    tpart = components(s3, 0, 4)
+    cls = classify_space(s3, 0, 4)
+    tpart = components(cls)
     for level in ("tuples", "pointed", "unpointed"):
-        assert components(s3, 0, 4, level=level, tuple_partition=tpart) == components(
-            s3, 0, 4, level=level
-        )
-    with pytest.raises(ValueError):
-        components(s3, 0, 4, tuple_partition=components(s3, 0, 4, level="pointed"))
+        assert components(cls, level=level, tuple_partition=tpart) == components(cls, level=level)
+    with pytest.raises(ValueError, match="tuple-level partition"):
+        components(cls, tuple_partition=components(cls, level="pointed"))
     # a partition of another space: one orbit id per row of S3 g0 n3, not n4
-    with pytest.raises(ValueError, match="one orbit id per row"):
-        components(s3, 0, 4, level="pointed", tuple_partition=components(s3, 0, 3))
+    with pytest.raises(ValueError, match="of this classification"):
+        components(cls, level="pointed", tuple_partition=components(classify_space(s3, 0, 3)))
+
+
+def test_components_rejects_a_partition_of_another_classification(s3):
+    # S3 g0 n4 has 96 rows at either marked point, but the pointed classes
+    # differ; the partition at 0 would number the classes at 2 wrongly
+    at_0 = components(classify_space(s3, 0, 4))
+    cls = classify_space(s3.with_marked_point(2), 0, 4)
+    assert len(at_0.orbit_of) == len(cls.rows) == 96
+    assert at_0.quotients["pointed"][0] != components(cls, level="pointed").orbit_of
+    for level in ("tuples", "pointed", "unpointed"):
+        with pytest.raises(ValueError, match="of this classification"):
+            components(cls, level=level, tuple_partition=at_0)
 
 
 
@@ -305,13 +310,12 @@ def test_lifted_tuple_orbits_match_move_closure(lift_spaces):
     for G, g, n, bt in lift_spaces:
         tuples = enumerate_tuples(G, g, n, bt)
         expected = o.move_partition([as_pair(t) for t in tuples])
-        for convention in ("standard", "mirrored"):
-            part = components(G, g, n, bt, convention=convention)
-            got = [[as_pair(t) for t in orb] for orb in part.orbits]
-            assert got == expected, (G, g, n, bt, convention)
-            assert list(part.orbit_sizes) == list(map(len, expected))
-            first = {}
-            assert list(part.orbit_of) == [first.setdefault(k, len(first)) for k in part.orbit_of]
+        part = components(classify_space(G, g, n, bt))
+        got = [[as_pair(t) for t in orb] for orb in part.orbits]
+        assert got == expected, (G, g, n, bt)
+        assert list(part.orbit_sizes) == list(map(len, expected))
+        first = {}
+        assert list(part.orbit_of) == [first.setdefault(k, len(first)) for k in part.orbit_of]
 
 
 def test_tuple_orbits_do_not_depend_on_the_marked_point(a5):
@@ -319,9 +323,10 @@ def test_tuple_orbits_do_not_depend_on_the_marked_point(a5):
     # stabilizers; the tuple orbits they lift to are the same
     c9 = _group(9, "(1 2 3 4 5 6 7 8 9)")
     for G, n in [(a5, 3), (c9, 3), (_group(4, "(1 2 3 4)", "(1 2)"), 4)]:
-        part = components(G, 0, n)
+        part = components(classify_space(G, 0, n))
         for lam in range(1, G.degree):
-            assert components(G.with_marked_point(lam), 0, n).orbit_of == part.orbit_of
+            cls = classify_space(G.with_marked_point(lam), 0, n)
+            assert components(cls).orbit_of == part.orbit_of
 
 
 def test_conjugation_maps_compose_as_the_normalizer_table(a5):
@@ -346,8 +351,9 @@ def test_unpointed_quotient_is_the_image_of_the_tuple_orbits(matrix, twisted, s3
     for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted + [
             (s3, 1, 4, None), (a5, 0, 3, None)]:
         cls = classify_space(G, g, n, bt)
-        part = components(G, g, n, bt, classification=cls)
-        expected = _class_orbits(part.orbit_of, cls.unpointed_of, len(cls.unpointed))
+        part = components(cls)
+        per_row = [cls.unpointed_of[c] for c in cls.pointed_of]
+        expected = _class_orbits(part.orbit_of, per_row, len(cls.unpointed))
         assert part.quotients["unpointed"] == expected, (G, g, n, bt)
 
 
@@ -356,19 +362,19 @@ def test_components_orbit_cap_is_exact_on_split_orbits(a5):
     # when the tuples reached by a move exceed it; on A5 g0 n3 the 6 class
     # orbits lift to 10 tuple orbits
     cls = classify_space(a5, 0, 3)
-    part = components(a5, 0, 3, classification=cls)
+    part = components(cls)
     assert len(part.quotients["pointed"][1]) == 6 and len(part.orbit_sizes) == 10
     reached = len(cls.rows) - len(part.orbit_sizes)
-    assert components(a5, 0, 3, classification=cls, orbit_cap=reached) == part
+    assert components(cls, orbit_cap=reached) == part
     with pytest.raises(OrbitCapExceeded):
-        components(a5, 0, 3, classification=cls, orbit_cap=reached - 1)
+        components(cls, orbit_cap=reached - 1)
 
 
 def test_components_moves_the_pointed_classes_only(a5, monkeypatch):
     # each pointed class is moved once: 2 (n - 1) moves of two products
     # each, where a search over rows would move every one of |N(lam0)| rows
     cls = classify_space(a5, 0, 3)
-    expected = components(a5, 0, 3, classification=cls)
+    expected = components(cls)
     calls = []
     mul = a5.table.mul
 
@@ -377,5 +383,5 @@ def test_components_moves_the_pointed_classes_only(a5, monkeypatch):
         return mul(x, s)
 
     monkeypatch.setattr(a5.table, "mul", counting)
-    assert components(a5, 0, 3, classification=cls) == expected
+    assert components(cls) == expected
     assert len(calls) <= 4 * (3 - 1) * len(cls.pointed) < len(cls.rows)
