@@ -41,6 +41,7 @@ from .tuples import (
     BranchingType,
     HurwitzTuple,
     enumerate_tuples,
+    type_key,
 )
 
 
@@ -160,11 +161,6 @@ def _transversal(G: PermGroup, lam: int) -> dict[int, Perm]:
     return {g[lam]: g for g in reversed(G.elements)}
 
 
-def type_key(classes, ids) -> tuple[int, ...]:
-    """The index form of a branching type: the sorted ``classes`` of element indices ``ids``."""
-    return tuple(sorted([classes[j] for j in ids]))
-
-
 def change_marked_point(c: PointedClass, lam1: int, G: PermGroup) -> PointedClass:
     """Transport a pointed class at lam0 to the marked point lam1.
 
@@ -224,9 +220,8 @@ class SpaceClassification:
     ``unpointed`` of the class of ``pointed[c]``.  ``rows[k]`` is the
     conjugate by the ``conjugator_of[k]``-th element of N(lam0) of its
     class's first listed row.  Built when first read: ``tuples`` (the rows
-    as ``HurwitzTuple``s), ``pointed_index`` and ``unpointed_index`` (the
-    class maps keyed by tuple) and ``type_keys`` (per row, the
-    ``type_key`` of its branch entries).
+    as ``HurwitzTuple``s) and ``type_keys`` (per row, the ``type_key`` of
+    its branch entries).
     """
 
     group: PermGroup
@@ -245,14 +240,6 @@ class SpaceClassification:
         elements = self.group.table.elements
         return tuple([HurwitzTuple(tuple(map(elements.__getitem__, row)), self.base_genus)
                       for row in self.rows])
-
-    @cached_property
-    def pointed_index(self) -> dict[HurwitzTuple, int]:
-        return dict(zip(self.tuples, self.pointed_of))
-
-    @cached_property
-    def unpointed_index(self) -> dict[HurwitzTuple, int]:
-        return dict(zip(self.tuples, map(self.unpointed_of.__getitem__, self.pointed_of)))
 
     @cached_property
     def type_keys(self) -> tuple[tuple[int, ...], ...]:
@@ -296,18 +283,24 @@ def classify_space(
     its rows); without it each enumerated tuple is mapped to its row as read.
     Like the output of ``enumerate_tuples`` the rows must be sorted and
     hold every conjugate of a listed tuple by G; their relation and
-    generation are not checked here.  Each pointed orbit
+    generation are not checked here.  Under a type filter every row must
+    have the filter's ``key`` as its ``type_key``; a representative
+    outside G raises DegreeMismatch.  Each pointed orbit
     must have |N(lam0)| members (the action is free).  The fiber
     identity  #tuples = #pointed * |Stab_N(lam0)(type)|  is enforced:
     conjugation twists a branching type classwise, so the stabilizer of
     the type filter (all of N(lam0) when there is no filter, or when the
     filter is conjugation-stable) is what acts freely on the filtered
-    tuple set.
+    tuple set.  A broken condition raises InternalInvariantViolation.
     """
     table = G.table
+    fil = None if type_filter is None else type_filter.key(table)
     if rows is None:
         rows = tuple([tuple(map(table.index.__getitem__, t.entries)) for t in enumerate_tuples(
             G, base_genus, branch_count, type_filter, work_cap=work_cap)])
+    elif fil is not None and any(type_key(table.classes, row[2 * base_genus:]) != fil
+                                 for row in rows):
+        raise InternalInvariantViolation("a row breaks the branching type")
     N = normalizer_fixing_point(G)
     position = {row: k for k, row in enumerate(rows)}
     # images[e][k]: index of the conjugate of element e by the k-th element of N(lam0)
@@ -330,9 +323,7 @@ def classify_space(
                 pointed_of[i], conjugator_of[i] = len(found), j
         found.append((min(orbit), k))
     stab_order = N.order
-    if type_filter is not None:
-        fil = type_key(table.classes, [table.index[rep] for rep, m in type_filter.entries
-                                       for _ in range(m)])
+    if fil is not None:
         stab_order = sum(type_key(table.classes, col) == fil
                          for col in zip(*map(images.__getitem__, fil)))
     if len(rows) != len(found) * stab_order:

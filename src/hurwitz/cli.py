@@ -26,7 +26,7 @@ from .errors import CapExceeded, InputError, InternalInvariantViolation, SchemaE
 from .jobs import (FORMAT_VERSION, JobSpec, _spec_to_json, build_group, parse_job,
                    report_to_json, run_job)
 from .perms import format_perm, parse_perm
-from .tuples import tuple_from_entries, validate_tuple
+from .tuples import branching_type_of, tuple_from_entries, validate_tuple
 
 EXIT_SCHEMA = 2
 EXIT_CAP = 3
@@ -170,7 +170,7 @@ def classify(spec_json, cache_dir, no_cache, output, tuples_raw):
         spec = _load_spec(spec_json, cache_dir, no_cache, "classify")
         if len(tuples_raw) != 2:
             raise SchemaError("classify needs exactly two --tuple arguments")
-        group, _ = build_group(spec)
+        group, type_filter = build_group(spec)
         want = 2 * spec.base_genus + spec.branch_points
         parsed = []
         for raw in tuples_raw:
@@ -182,13 +182,17 @@ def classify(spec_json, cache_dir, no_cache, output, tuples_raw):
             entries = [parse_perm(s, spec.degree) for s in entry_strs]
             t = tuple_from_entries(spec.degree, spec.base_genus, entries)
             report = validate_tuple(t, group)
-            if not report.is_valid:
+            # entries that generate G lie in it, so their classes are defined
+            of_type = type_filter is None or (
+                report.generates_G and branching_type_of(t, group) == type_filter)
+            if not (report.is_valid and of_type):
                 raise SchemaError(
                     f"tuple {raw!r} is not a valid point of the space "
                     f"(relation={report.relation_holds}, "
                     f"nontrivial={report.no_trivial_branch}, "
                     f"generates={report.generates_G}, "
-                    f"transitive={report.g_transitive})"
+                    f"transitive={report.g_transitive}, "
+                    f"type={of_type})"
                 )
             parsed.append(t)
         t1, t2 = parsed

@@ -23,7 +23,7 @@ from itertools import chain
 
 from . import __version__
 from .cache import ResultCache
-from .classify import SpaceClassification, classify_space, type_key
+from .classify import SpaceClassification, classify_space
 from .covers import universal_fiber_report
 from .errors import (
     InputError,
@@ -38,6 +38,7 @@ from .tuples import (
     BranchingType,
     enumerate_tuples,
     make_branching_type,
+    type_key,
 )
 
 FORMAT_VERSION = 1
@@ -194,22 +195,9 @@ def build_group(spec: JobSpec) -> tuple[PermGroup, BranchingType | None]:
 
 
 def cache_key(spec: JobSpec) -> str:
-    """Stable content address of everything the enumeration depends on."""
-    fragment = {
-        "format_version": FORMAT_VERSION,
-        "degree": spec.degree,
-        "generators": sorted(
-            list(parse_perm(s, spec.degree)) for s in spec.generators
-        ),
-        "base_genus": spec.base_genus,
-        "branch_points": spec.branch_points,
-        "marked_point": spec.marked_point,
-        "branching_type": None
-        if spec.branching_type is None
-        else sorted(
-            [list(parse_perm(s, spec.degree)), m] for s, m in spec.branching_type
-        ),
-    }
+    """Stable content address of everything the enumeration depends on:
+    the document as ``parse_job`` normalized it, without its caps."""
+    fragment = {k: v for k, v in _spec_to_json(spec).items() if k != "caps"}
     blob = json.dumps(fragment, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -252,14 +240,14 @@ def _classify_cached_rows(group: PermGroup, base_genus: int, branch_points: int,
     """Classify the rows of a cached tuples entry, checking that they could be the space.
 
     Raises ValueError unless there are ``meta["count"]`` rows of element
-    indices in strictly increasing order, every index lies in the group,
-    no branch entry is the identity and, under a type filter, every row
-    has exactly that branching type; unless the rows classify (if not,
-    each row's relation and generation are checked first, so a defective
-    row names its defect); and unless each pointed class's canonical row
-    satisfies the relation and generates G.  That one row stands for the
-    class: every listed member is an N(lam0)-conjugate of it, and
-    conjugation by an element normalizing G keeps both properties.
+    indices in strictly increasing order, every index lies in the group
+    and no branch entry is the identity; unless ``classify_space`` accepts
+    the rows, which under a type filter checks every row's branching type
+    (if not, each row's relation and generation are checked first, so a
+    defective row names its defect); and unless each pointed class's
+    canonical row satisfies the relation and generates G.  That one row
+    stands for the class: every listed member is an N(lam0)-conjugate of
+    it, and conjugation by an element normalizing G keeps both properties.
     """
     width, first = 2 * base_genus + branch_points, 2 * base_genus
     if len(data) % width != 0:
@@ -279,11 +267,6 @@ def _classify_cached_rows(group: PermGroup, base_genus: int, branch_points: int,
     except InternalInvariantViolation as exc:
         _check_relation_and_generation(table, first, rows)
         raise ValueError(f"the rows do not classify: {exc}") from None
-    if type_filter is not None:
-        want = type_key(table.classes, [table.index[rep] for rep, m in type_filter.entries
-                                        for _ in range(m)])
-        if any(key != want for key in cls.type_keys):
-            raise ValueError("a row breaks the branching type")
     _check_relation_and_generation(
         table, first, [[table.index[e] for e in c.canonical.entries] for c in cls.pointed])
     return cls

@@ -107,6 +107,11 @@ def validate_tuple(t: HurwitzTuple, G: PermGroup) -> ValidationReport:
     return ValidationReport(relation, no_trivial, generates(G, t.entries), G.is_transitive())
 
 
+def type_key(classes, ids) -> tuple[int, ...]:
+    """The index form of a branching type: the sorted ``classes`` of element indices ``ids``."""
+    return tuple(sorted([classes[j] for j in ids]))
+
+
 @dataclass(frozen=True)
 class BranchingType:
     """Multiset of conjugacy classes of the branch entries.
@@ -124,13 +129,16 @@ class BranchingType:
     def __str__(self) -> str:
         return " + ".join(f"{m}*[{format_perm(r)}]" for r, m in self.entries)
 
-
-def branching_type_of(t: HurwitzTuple, G: PermGroup) -> BranchingType:
-    counts: dict[Perm, int] = {}
-    for g in t.branches:
-        rep = G.class_of(g)
-        counts[rep] = counts.get(rep, 0) + 1
-    return BranchingType(tuple(sorted(counts.items())))
+    def key(self, table) -> tuple[int, ...]:
+        """The ``type_key`` of the type in the indices of ``table``, a
+        ``G.table``: one class index per branch entry.  Any member of a class
+        names that class; a representative outside G raises DegreeMismatch."""
+        ids = []
+        for rep, m in self.entries:
+            if rep not in table.index:
+                raise DegreeMismatch(f"{format_perm(rep)} is not an element of the group")
+            ids += [table.index[rep]] * m
+        return type_key(table.classes, ids)
 
 
 def make_branching_type(G: PermGroup, pairs) -> BranchingType:
@@ -142,11 +150,13 @@ def make_branching_type(G: PermGroup, pairs) -> BranchingType:
     return BranchingType(tuple(sorted(counts.items())))
 
 
+def branching_type_of(t: HurwitzTuple, G: PermGroup) -> BranchingType:
+    return make_branching_type(G, [(g, 1) for g in t.branches])
+
+
 def conjugate_branching_type(bt: BranchingType, s: Perm, G: PermGroup) -> BranchingType:
     """The type with every class O replaced by s O s^-1."""
-    return BranchingType(
-        tuple(sorted((G.class_of(conjugate(rep, s)), m) for rep, m in bt.entries))
-    )
+    return make_branching_type(G, [(conjugate(rep, s), m) for rep, m in bt.entries])
 
 
 def enumerate_tuples(
@@ -166,11 +176,13 @@ def enumerate_tuples(
     element indices until a leaf is kept.  Each node carries the index of
     its relation product, extended by ``mul``, and the mask of the
     subgroup its free entries generate, extended by one memoized ``join``.
-    A type filter is a budget of branch entries per class index.  The
-    last entry is a word in the free ones, so a leaf generates G exactly
-    when its mask is ``G.table.full``.  The work cap counts visited
-    search-tree nodes (candidate entry assignments) and is checked at
-    every visit; the a-priori bound |G|^(2g+n-1) is checked up front.
+    A type filter is a budget of branch entries per class index, read from
+    its ``key``: any member names its class, and a representative outside
+    G raises DegreeMismatch.  The last entry is a word in the free ones,
+    so a leaf generates G exactly when its mask is ``G.table.full``.  The
+    work cap counts visited search-tree nodes (candidate entry
+    assignments) and is checked at every visit; the a-priori bound
+    |G|^(2g+n-1) is checked up front.
     ``stats`` receives the visited node count (``"nodes"``), the number
     of leaves reached (``"leaves"``) and the number of memoized joins of
     the group's table (``"join_memo"``).
@@ -184,26 +196,23 @@ def enumerate_tuples(
         raise WorkCapExceeded(
             f"|G|^(2g+n-1) = {G.order}^{free} exceeds work cap {work_cap}"
         )
+    table = G.table
+    key = None if type_filter is None else type_filter.key(table)
     if not G.is_transitive():
         return []
 
-    if type_filter is not None and type_filter.size != branch_count:
+    if key is not None and len(key) != branch_count:
         return []
     if free == 0:
         # n = 1, g = 0: the single branch entry would have to be the identity.
         return []
 
-    table = G.table
     mul, inv, join, classes, elements = (
         table.mul, table.inverses, table.join, table.classes, table.elements)
     # branch entries still allowed, by class index; a class absent from
     # the filter gets none, and without a filter no class runs out
-    left = [branch_count] * table.size
-    if type_filter is not None:
-        left = [0] * table.size
-        for rep, m in type_filter.entries:
-            if rep in table.index:
-                left[table.index[rep]] += m
+    left = ([branch_count] * table.size if key is None
+            else [key.count(c) for c in range(table.size)])
     out: list[HurwitzTuple] = []
     chosen: list[int] = []
     nodes = 0

@@ -7,6 +7,7 @@ import pytest
 import oracles as o
 from oracles import nu_fiber
 from hurwitz import (
+    BranchingType,
     DegreeMismatch,
     FreeActionViolated,
     InternalInvariantViolation,
@@ -103,6 +104,35 @@ def test_typed_censuses(s3, c3, v4):
     assert (c.tuple_count, c.pointed_count, c.unpointed_count) == (6, 1, 1)
 
 
+def test_type_filter_names_a_class_by_any_member(s3):
+    # (1 2) is a transposition but not the minimal one, (2 3)
+    raw = BranchingType(((parse_perm("(1 2)", 3), 4),))
+    bt = make_branching_type(s3, [(parse_perm("(1 2)", 3), 4)])
+    assert raw != bt
+    assert enumerate_tuples(s3, 0, 4, raw) == enumerate_tuples(s3, 0, 4, bt)
+    a, b = classify_space(s3, 0, 4, raw), classify_space(s3, 0, 4, bt)
+    assert (a.census.tuple_count, a.census.pointed_count, a.census.unpointed_count) == (24, 12, 4)
+    assert (a.rows, a.pointed, a.unpointed, a.census) == (b.rows, b.pointed, b.unpointed, b.census)
+
+
+def test_type_filter_outside_the_group_raises(c3):
+    raw = BranchingType(((parse_perm("(1 2)", 3), 3),))
+    with pytest.raises(DegreeMismatch, match="not an element of the group"):
+        enumerate_tuples(c3, 0, 3, raw)
+    with pytest.raises(DegreeMismatch, match="not an element of the group"):
+        classify_space(c3, 0, 3, raw)
+
+
+def test_rows_of_another_type_raise(s3, twisted):
+    # each filtered space fed the rows of its unfiltered space
+    transpositions = make_branching_type(s3, [(parse_perm("(1 2)", 3), 4)])
+    for G, g, n, bt in [(s3, 0, 4, transpositions)] + twisted:
+        with pytest.raises(InternalInvariantViolation, match="branching type"):
+            classify_space(G, g, n, bt, rows=classify_space(G, g, n).rows)
+        cls = classify_space(G, g, n, bt)
+        assert classify_space(G, g, n, bt, rows=cls.rows) == cls
+
+
 def test_by_type_rows_partition_classes(matrix, twisted):
     for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted:
         cls = classify_space(G, g, n, bt)
@@ -142,26 +172,21 @@ def test_sweep_index_matches_class_functions(matrix, twisted):
     spaces = [(G, g, n, None) for G, g, n in matrix] + twisted + [(c2_cubed, 0, 5, None)]
     for G, g, n, bt in spaces:
         cls = classify_space(G, g, n, bt)
-        assert set(cls.pointed_index) == set(cls.unpointed_index) == set(cls.tuples)
-        # rows[k] is tuples[k] in element indices, and the tuple-keyed
-        # views agree with the per-row class ids
+        # rows[k] is tuples[k] in element indices
         assert len(cls.rows) == len(cls.pointed_of) == len(cls.tuples)
         assert len(cls.unpointed_of) == len(cls.pointed)
-        for k, t in enumerate(cls.tuples):
-            assert cls.rows[k] == tuple(G.table.index[e] for e in t.entries)
-            assert cls.pointed_index[t] == cls.pointed_of[k]
-            assert cls.unpointed_index[t] == cls.unpointed_of[cls.pointed_of[k]]
         # pointed_class(t) == c exactly when t lies in the N(lam0)-orbit of
         # c's canonical, and unpointed_class is constant on that orbit
         orbits, unpointed = {}, {}
-        for t in cls.tuples:
-            c = cls.pointed[cls.pointed_index[t]]
+        for k, t in enumerate(cls.tuples):
+            assert cls.rows[k] == tuple(G.table.index[e] for e in t.entries)
+            c = cls.pointed[cls.pointed_of[k]]
             if c not in orbits:
                 assert pointed_class(c.canonical, G) == c
                 orbits[c] = {conjugate_tuple(c.canonical, s) for s in normalizer_fixing_point(G)}
                 unpointed[c] = unpointed_class(c.canonical, G)
             assert t in orbits[c]
-            assert cls.unpointed[cls.unpointed_index[t]] == unpointed[c]
+            assert cls.unpointed[cls.unpointed_of[cls.pointed_of[k]]] == unpointed[c]
     census = cls.census
     assert (census.tuple_count, census.pointed_count, census.unpointed_count) == (1680, 10, 10)
     # the centralizer C2^3 fixes every tuple, so each orbit has |N_Sym|/|Z| members

@@ -658,6 +658,21 @@ def test_cli_classify_rejects_invalid_tuple(runner, job_file):
     assert res.exit_code == 2
 
 
+def test_cli_classify_rejects_a_tuple_of_another_type(runner, tmp_path):
+    # both tuples are points of S3 g0 n4, but not of the job's type 4*[(1 2)]
+    p = tmp_path / "j.json"
+    p.write_text(json.dumps(spec_of({"branching_type": [["(1 2)", 4]]})))
+    res = runner.invoke(
+        main,
+        ["classify", str(p),
+         "--tuple", "(1 2 3), (1 3 2), (1 2), (1 2)",
+         "--tuple", "(1 3 2), (1 2 3), (1 2), (1 2)"],
+    )
+    assert res.exit_code == 2
+    assert "is not a valid point of the space" in res.output
+    assert "type=False" in res.output
+
+
 def test_cli_exit_code_schema(runner, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(spec_of({"generators": ["(1 9)"]})))
