@@ -214,14 +214,13 @@ class SpaceCensus:
 class SpaceClassification:
     """Everything the census and the reports need about one space.
 
-    ``rows`` holds the space's tuples, sorted, as rows of ``group.table``
-    element indices; ``pointed_of[k]`` is the position in ``pointed`` of the
-    class of ``rows[k]``, and ``unpointed_of[c]`` the position in
-    ``unpointed`` of the class of ``pointed[c]``.  ``rows[k]`` is the
-    conjugate by the ``conjugator_of[k]``-th element of N(lam0) of its
-    class's first listed row.  Built when first read: ``tuples`` (the rows
-    as ``HurwitzTuple``s) and ``type_keys`` (per row, the ``type_key`` of
-    its branch entries).
+    ``rows`` holds the tuples and ``canonicals`` the pointed classes' orbit
+    minima, each sorted, as rows of ``group.table`` element indices.  Row k
+    lies in pointed class ``pointed_of[k]``, class c in unpointed class
+    ``unpointed_of[c]``, and the first class in u is ``unpointed_first[u]``.
+    ``rows[k]`` is its class's first listed row conjugated by the
+    ``conjugator_of[k]``-th element of N(lam0).  Built when read: ``tuples``,
+    ``pointed``, ``unpointed`` and ``type_keys`` (each row's ``type_key``).
     """
 
     group: PermGroup
@@ -229,11 +228,11 @@ class SpaceClassification:
     branch_count: int
     type_filter: BranchingType | None
     rows: tuple[tuple[int, ...], ...] = field(repr=False)
-    pointed: tuple[PointedClass, ...]
-    unpointed: tuple[UnpointedClass, ...]
+    canonicals: tuple[tuple[int, ...], ...] = field(repr=False)
     pointed_of: tuple[int, ...] = field(compare=False, repr=False)
     unpointed_of: tuple[int, ...] = field(compare=False, repr=False)
     conjugator_of: tuple[int, ...] = field(compare=False, repr=False)
+    unpointed_first: tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
     def tuples(self) -> tuple[HurwitzTuple, ...]:
@@ -242,28 +241,38 @@ class SpaceClassification:
                       for row in self.rows])
 
     @cached_property
+    def pointed(self) -> tuple[PointedClass, ...]:
+        elements, lam = self.group.table.elements, self.group.marked_point
+        return tuple([PointedClass(HurwitzTuple(tuple(map(elements.__getitem__, row)),
+                                                self.base_genus), lam) for row in self.canonicals])
+
+    @cached_property
+    def unpointed(self) -> tuple[UnpointedClass, ...]:
+        size, n = Counter(self.unpointed_of), normalizer_fixing_point(self.group).order
+        return tuple([UnpointedClass(self.pointed[c].canonical, size[u] * n)
+                      for u, c in enumerate(self.unpointed_first)])
+
+    @cached_property
     def type_keys(self) -> tuple[tuple[int, ...], ...]:
         classes, first = self.group.table.classes, 2 * self.base_genus
         return tuple([type_key(classes, row[first:]) for row in self.rows])
 
     @property
     def census(self) -> SpaceCensus:
-        table = self.group.table
-        index, classes = table.index, table.classes
+        table, first = self.group.table, 2 * self.base_genus
         by_key = {key: [n, 0, 0] for key, n in Counter(self.type_keys).items()}
         # a twisted type filter can carry a canonical outside the listed rows
-        for col, members in enumerate((self.pointed, self.unpointed), 1):
-            for c in members:
-                key = type_key(classes, map(index.__getitem__, c.canonical.branches))
+        keys = [type_key(table.classes, row[first:]) for row in self.canonicals]
+        for col, members in enumerate((keys, map(keys.__getitem__, self.unpointed_first)), 1):
+            for key in members:
                 by_key.setdefault(key, [0, 0, 0])[col] += 1
         rows = []
         for key, counts in by_key.items():
             pairs = tuple((table.elements[c], key.count(c)) for c in sorted(set(key)))
             rows.append(TypeCensus(BranchingType(pairs), *counts))
         rows.sort(key=lambda r: r.branching_type.entries)
-        return SpaceCensus(
-            len(self.rows), len(self.pointed), len(self.unpointed), tuple(rows)
-        )
+        return SpaceCensus(len(self.rows), len(self.canonicals), len(self.unpointed_first),
+                           tuple(rows))
 
 
 def classify_space(
@@ -276,7 +285,8 @@ def classify_space(
     rows: tuple[tuple[int, ...], ...] | None = None,
 ) -> SpaceClassification:
     """Enumerate a space and classify it at both quotient levels: each row
-    gets its pointed class and each pointed class its unpointed class.
+    gets its pointed class, kept as its canonical row, and each pointed
+    class its unpointed class.
 
     ``rows`` short-circuits the enumeration, which ``work_cap`` bounds: the
     tuples as rows of ``G.table`` element indices (the cache decoder passes
@@ -334,17 +344,15 @@ def classify_space(
     order = sorted(range(len(found)), key=lambda c: found[c][0])
     rank = {c: r for r, c in enumerate(order)}
     pointed_of = [rank[c] for c in pointed_of]
-    pointed = tuple([PointedClass(HurwitzTuple(tuple(map(table.elements.__getitem__, m)),
-                                               base_genus), G.marked_point)
-                     for m, _ in map(found.__getitem__, order)])
+    canonicals = tuple([found[c][0] for c in order])
 
     # unpointed: N_Sym(G) = N(lam0) T, T the minimal element of G moving lam0
     # to each point; a class is the union of the pointed classes of r t r^-1
     # over r in T, and its first pointed class is its minimum
     moved = list(zip(*map(table.conjugation, _transversal(G, G.marked_point).values())))
-    unpointed_of = [-1] * len(pointed)
-    unpointed: list[UnpointedClass] = []
-    for c in range(len(pointed)):
+    unpointed_of = [-1] * len(canonicals)
+    unpointed_first: list[int] = []
+    for c in range(len(canonicals)):
         if unpointed_of[c] >= 0:
             continue
         union = set()
@@ -354,12 +362,12 @@ def classify_space(
                     "a conjugate by G of a listed tuple is not listed")
             union.add(pointed_of[position[member]])
         for u in union:
-            unpointed_of[u] = len(unpointed)
-        unpointed.append(UnpointedClass(pointed[c].canonical, len(union) * N.order))
+            unpointed_of[u] = len(unpointed_first)
+        unpointed_first.append(c)
 
     return SpaceClassification(
-        G, base_genus, branch_count, type_filter, rows, pointed, unpointed,
-        tuple(pointed_of), tuple(unpointed_of), tuple(conjugator_of),
+        G, base_genus, branch_count, type_filter, rows, canonicals,
+        tuple(pointed_of), tuple(unpointed_of), tuple(conjugator_of), tuple(unpointed_first),
     )
 
 

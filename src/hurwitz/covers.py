@@ -31,7 +31,7 @@ from .errors import (
 from .perms import (Perm, PermGroup, compose, cycle_type, generates,
                     normalizer_fixing_point, perm_order)
 from .tuples import HurwitzTuple
-from .classify import PointedClass
+from .classify import SpaceClassification
 
 
 @dataclass(frozen=True)
@@ -280,26 +280,25 @@ def _row_report(G: PermGroup, base_genus: int, row) -> CoverReport:
     return memo[key]
 
 
-def universal_fiber_report(c: PointedClass, G: PermGroup) -> CoverReport:
-    """Cover data for the fiber of the universal family over one class.
+def universal_fiber_report(cls: SpaceClassification, c: int) -> CoverReport:
+    """Cover data for the fiber of the universal family over pointed class c.
 
-    Computed from the canonical representative and re-verified against a
-    second member of the fiber (when one exists), the conjugate by the
-    first non-identity element of N(lam0).  That member is formed as an
-    index row through the group's conjugation map of that element, built
-    once per group, and it must generate G and give the identical report,
+    Computed from the canonical row ``cls.canonicals[c]`` and re-verified on
+    its conjugate by the first non-identity element of N(lam0) (when there is
+    one), through that element's conjugation map, built once per group.  Both
+    rows must generate G, a transitive group, and give the identical report,
     since all the quantities are conjugation invariants.
     """
-    report = cover_report(c.canonical, G)
-    table, g = G.table, c.canonical.base_genus
-    key = f"fiber_check:{c.marked_point}"
+    G, g, row = cls.group, cls.base_genus, cls.canonicals[c]
+    table, key = G.table, f"fiber_check:{G.marked_point}"
     if key not in G._cache:  # sorted, so the identity is elements[0]
-        N = normalizer_fixing_point(G, c.marked_point)
-        G._cache[key] = [table.conjugation(s) for s in N.elements[1:2]]
+        G._cache[key] = [table.conjugation(s) for s in normalizer_fixing_point(G).elements[1:2]]
+    if not (G.is_transitive() and table.generates(row)):
+        raise DisconnectedCover("the canonical row does not give a connected cover")
+    report = _row_report(G, g, row)
     for conj in G._cache[key]:  # type: ignore[attr-defined]
-        row = [conj[table.index[e]] for e in c.canonical.entries]
-        if not table.generates(row) or _row_report(G, g, row) != report:
+        member = [conj[j] for j in row]
+        if not table.generates(member) or _row_report(G, g, member) != report:
             raise InternalInvariantViolation(
-                "cover report differs across members of one pointed class"
-            )
+                "cover report differs across members of one pointed class")
     return report

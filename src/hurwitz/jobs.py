@@ -267,8 +267,7 @@ def _classify_cached_rows(group: PermGroup, base_genus: int, branch_points: int,
     except InternalInvariantViolation as exc:
         _check_relation_and_generation(table, first, rows)
         raise ValueError(f"the rows do not classify: {exc}") from None
-    _check_relation_and_generation(
-        table, first, [[table.index[e] for e in c.canonical.entries] for c in cls.pointed])
+    _check_relation_and_generation(table, first, cls.canonicals)
     return cls
 
 
@@ -307,9 +306,8 @@ def run_job(spec: JobSpec) -> dict:
 
     census = cls.census
     classes_json = []
-    for c in cls.pointed:
-        report = universal_fiber_report(c, group)
-        row = [index[e] for e in c.canonical.entries]
+    for c, row in enumerate(cls.canonicals):
+        report = universal_fiber_report(cls, c)
         branch = type_key(classes, row[2 * spec.base_genus:])
         classes_json.append(
             {

@@ -76,7 +76,8 @@ def braid_orbit(t: HurwitzTuple, *, orbit_cap: int = DEFAULT_ORBIT_CAP) -> tuple
         for nxt in _moved(table, row, 2 * t.base_genus):
             if nxt not in seen:
                 if len(orbit) >= orbit_cap:
-                    raise OrbitCapExceeded(f"orbit closure exceeds cap {orbit_cap}")
+                    raise OrbitCapExceeded(f"braid orbit: size exceeds cap {orbit_cap}; "
+                                           f"{len(orbit)} tuples reached")
                 seen.add(nxt)
                 orbit.append(nxt)
     # index order is element order, so sorted rows are sorted tuples
@@ -121,9 +122,9 @@ class ComponentPartition:
         """Per class level, each class's orbit and the orbit sizes: the pointed
         class images of the tuple orbits, then their unpointed class images."""
         cls = self.classification
-        pointed = _class_orbits(self.orbit_of, cls.pointed_of, len(cls.pointed))
+        pointed = _class_orbits(self.orbit_of, cls.pointed_of, len(cls.canonicals))
         return {"pointed": pointed,
-                "unpointed": _class_orbits(pointed[0], cls.unpointed_of, len(cls.unpointed))}
+                "unpointed": _class_orbits(pointed[0], cls.unpointed_of, len(cls.unpointed_first))}
 
 
 def _moved(table: ElementTable, row: tuple[int, ...], first: int):
@@ -158,7 +159,7 @@ def _tuple_partition(cls: SpaceClassification, orbit_cap: int) -> ComponentParti
     table, rows, position = cls.group.table, cls.rows, {r: k for k, r in enumerate(cls.rows)}
     pointed_of, conjugator_of = cls.pointed_of, cls.conjugator_of
     nt = normalizer_fixing_point(cls.group).table
-    count = len(cls.pointed)
+    count = len(cls.canonicals)
     first, listed = 2 * cls.base_genus, len(rows) // max(count, 1)
     owner = [-1] * count  # each class's class orbit
     voltage = [0] * count  # w_c, with rep_c = w_c base_c in the root's tuple orbit
@@ -172,9 +173,6 @@ def _tuple_partition(cls: SpaceClassification, orbit_cap: int) -> ComponentParti
         orbit, stab, reps = len(sizes), 1, [rows[i]]  # reps grows while it is walked
         owner[root], voltage[root] = orbit, conjugator_of[i]
         for rep in reps:
-            # the tuple orbits over C reach |C| listed - listed / |H| rows by a move
-            if reached + len(reps) * listed - listed // stab.bit_count() > orbit_cap:
-                raise OrbitCapExceeded(f"orbit closure exceeds cap {orbit_cap}")
             for y in _moved(table, rep, first):
                 j = position.get(y)
                 if j is None or owner[pointed_of[j]] not in (-1, orbit):
@@ -185,6 +183,10 @@ def _tuple_partition(cls: SpaceClassification, orbit_cap: int) -> ComponentParti
                     reps.append(y)
                 elif k != voltage[d] and stab != nt.full:  # a Schreier generator of H
                     stab = nt.join(stab, nt.mul(k, nt.inverses[voltage[d]]))
+            # the tuple orbits over C reach |C| listed - listed / |H| rows by a move
+            if reached + len(reps) * listed - listed // stab.bit_count() > orbit_cap:
+                raise OrbitCapExceeded(f"move orbits: tuples reached exceed cap {orbit_cap}; "
+                                       f"{reached} reached in {len(sizes)} finished class orbit(s)")
         reached += len(reps) * listed - listed // stab.bit_count()
         sizes.append(len(reps) * stab.bit_count())
         members = [h for h in range(nt.size) if stab >> h & 1]
@@ -199,8 +201,6 @@ def _tuple_partition(cls: SpaceClassification, orbit_cap: int) -> ComponentParti
             u = nt.inverses[voltage[c]] if stab != nt.full else 0
             lift[c] = tables.get(u) or tables.setdefault(
                 u, [orbit * nt.size + least[nt.mul(k, u)] for k in range(nt.size)])
-    if reached > orbit_cap:
-        raise OrbitCapExceeded(f"orbit closure exceeds cap {orbit_cap}")
     # tuple orbits numbered by first row, as a row-level BFS seeded in row order would
     raw = [lift[c][k] for c, k in zip(pointed_of, conjugator_of)]
     number = {label: n for n, label in enumerate(dict.fromkeys(raw))}

@@ -442,7 +442,8 @@ def generate_group(gens, degree: int | None = None, *,
             y = compose(x, g)
             if y not in seen:
                 if len(seen) >= cap:
-                    raise OrderCapExceeded(f"group order exceeds cap {cap}")
+                    raise OrderCapExceeded(f"group closure: order exceeds cap {cap}; "
+                                           f"{len(seen)} elements found")
                 seen.add(y)
                 frontier.append(y)
     return PermGroup(d, gens, tuple(sorted(seen)), marked_point=marked_point)
@@ -486,7 +487,8 @@ def normalizer_in_sym(G: PermGroup) -> PermGroup:
             members.append(s)
             # cap check: N_0 (fixing point 0) comes first and |N| >= |N_0| * |0^G|
             if len(members) * (orbit0 if s[0] == 0 else 1) > DEFAULT_ORDER_CAP:
-                raise OrderCapExceeded(f"normalizer order exceeds cap {DEFAULT_ORDER_CAP}")
+                raise OrderCapExceeded(f"normalizer search: order exceeds cap "
+                                       f"{DEFAULT_ORDER_CAP}; {len(members)} elements found")
             continue
         images = set(range(d)).difference(s)
         for (g, ginv), hs in zip(gens, agreeing):

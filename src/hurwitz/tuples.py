@@ -193,9 +193,8 @@ def enumerate_tuples(
         raise ValueError("base genus must be non-negative")
     free = 2 * base_genus + branch_count - 1
     if G.order**free > work_cap:
-        raise WorkCapExceeded(
-            f"|G|^(2g+n-1) = {G.order}^{free} exceeds work cap {work_cap}"
-        )
+        raise WorkCapExceeded(f"enumeration: the bound |G|^(2g+n-1) = {G.order}^{free} "
+                              f"exceeds work cap {work_cap}; no node visited")
     table = G.table
     key = None if type_filter is None else type_filter.key(table)
     if not G.is_transitive():
@@ -239,7 +238,8 @@ def enumerate_tuples(
                 continue
             nodes += 1
             if nodes > work_cap:
-                raise WorkCapExceeded(f"visited nodes exceed work cap {work_cap}")
+                raise WorkCapExceeded(f"enumeration: {nodes} visited nodes exceed work cap "
+                                      f"{work_cap}; {len(out)} tuples kept so far")
             chosen.append(j)
             sub = join(mask, j)
             if is_branch:

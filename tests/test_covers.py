@@ -324,8 +324,9 @@ def test_cycle_type_multiset_invariant_under_normalizer(matrix):
 def test_universal_report_well_defined_on_full_fiber(matrix):
     # stronger than the production spot check: every fiber member agrees
     for G, g, n in matrix:
-        for c in classify_space(G, g, n).pointed:
-            rep = universal_fiber_report(c, G)
+        cls = classify_space(G, g, n)
+        for k, c in enumerate(cls.pointed):
+            rep = universal_fiber_report(cls, k)
             for member in nu_fiber(c, G):
                 assert cover_report(member, G) == rep
 
@@ -334,7 +335,8 @@ def test_universal_report_checks_a_second_member(s3, monkeypatch):
     # the second member is checked as an index row through the per-row report
     import hurwitz.covers as covers
 
-    c = classify_space(s3, 0, 4).pointed[0]
+    cls = classify_space(s3, 0, 4)
+    c = cls.pointed[0]
     elems = s3.table.elements
     honest = covers._row_report
     calls = []
@@ -346,22 +348,27 @@ def test_universal_report_checks_a_second_member(s3, monkeypatch):
 
     monkeypatch.setattr(covers, "_row_report", lying)
     with pytest.raises(InternalInvariantViolation):
-        universal_fiber_report(c, s3)
+        universal_fiber_report(cls, 0)
     assert len(calls) == 2 and calls[0] == c.canonical and calls[1] in nu_fiber(c, s3)
 
 
 def test_universal_report_checks_that_the_second_member_generates(s3):
     # a map that sends each element to the least one of its cycle type keeps
-    # every profile, but four copies of one transposition do not generate S3
-    c = next(c for c in classify_space(s3, 0, 4).pointed
+    # every profile, but four copies of one transposition do not generate S3;
+    # nor may the canonical row itself fail to generate
+    cls = classify_space(s3, 0, 4)
+    k = next(k for k, c in enumerate(cls.pointed)
              if all(cycle_type(e) == (2, 1) for e in c.canonical.entries))
     table = s3.table
-    universal_fiber_report(c, s3)
+    universal_fiber_report(cls, k)
     fake = [table.index[min(p for p in table.elements if cycle_type(p) == ct)]
             for ct in table.cycle_types]
-    s3._cache[f"fiber_check:{c.marked_point}"] = [fake]
+    bad = dataclasses.replace(cls, canonicals=(tuple(fake[j] for j in cls.canonicals[k]),))
+    with pytest.raises(DisconnectedCover):
+        universal_fiber_report(bad, 0)
+    s3._cache[f"fiber_check:{s3.marked_point}"] = [fake]
     with pytest.raises(InternalInvariantViolation):
-        universal_fiber_report(c, s3)
+        universal_fiber_report(cls, k)
 
 
 def test_report_memo_keeps_refusals_and_genera(s3, c3):
@@ -384,6 +391,6 @@ def test_universal_report_c3_twisted_type(c3):
     # must still agree because it records cycle types, not class labels
     cls = classify_space(c3, 0, 3)
     assert len(cls.pointed) == 1
-    rep = universal_fiber_report(cls.pointed[0], c3)
+    rep = universal_fiber_report(cls, 0)
     assert rep.genus == 1 and rep.galois_genus == 1
     assert rep.branching_type == (((3,), 3),)

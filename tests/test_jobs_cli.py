@@ -410,24 +410,48 @@ def test_run_job_hashes_no_tuple(tmp_path, monkeypatch, overrides):
     assert comparison_payload(cold) == comparison_payload(warm) == expected
 
 
-@pytest.mark.parametrize("overrides", [{}, {"base_genus": 1, "branch_points": 2}])
-def test_warm_run_builds_one_tuple_per_pointed_class(tmp_path, monkeypatch, overrides):
-    # the decoder classifies the cached rows themselves: only the class
-    # canonicals become HurwitzTuples
-    s = dataclasses.replace(parse_job(json.dumps(spec_of(overrides))), cache_dir=str(tmp_path))
-    cold = run_job(s)
-    built = []
-    init = HurwitzTuple.__init__
+def _count_tuples_built(monkeypatch) -> list[bool]:
+    """Record, per HurwitzTuple built from now on, whether jobs.enumerate_tuples was running."""
+    built, inside = [], []
+    init, enumerate_tuples = HurwitzTuple.__init__, jobs.enumerate_tuples
 
     def counting(self, *args, **kwargs):
-        built.append(1)
+        built.append(bool(inside))
         init(self, *args, **kwargs)
 
+    def enumerating(*args, **kwargs):
+        inside.append(1)
+        try:
+            return enumerate_tuples(*args, **kwargs)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(HurwitzTuple, "__init__", counting)
+    monkeypatch.setattr(jobs, "enumerate_tuples", enumerating)
+    return built
+
+
+@pytest.mark.parametrize("overrides", [{}, {"base_genus": 1, "branch_points": 2}])
+def test_warm_run_builds_no_tuple(tmp_path, monkeypatch, overrides):
+    # the decoder classifies the cached rows themselves, and the classes
+    # are canonical rows: no HurwitzTuple is built
+    s = dataclasses.replace(parse_job(json.dumps(spec_of(overrides))), cache_dir=str(tmp_path))
+    cold = run_job(s)
+    built = _count_tuples_built(monkeypatch)
     warm = run_job(s)
     assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
-    assert len(built) <= warm["census"]["pointed"] < warm["census"]["tuples"]
+    assert built == [] and warm["census"]["pointed"] > 0
     assert comparison_payload(cold) == comparison_payload(warm)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"base_genus": 1, "branch_points": 2}])
+def test_cold_run_builds_only_the_enumerated_tuples(tmp_path, monkeypatch, overrides):
+    # one HurwitzTuple per enumerated tuple, each inside enumerate_tuples
+    s = dataclasses.replace(parse_job(json.dumps(spec_of(overrides))), cache_dir=str(tmp_path))
+    built = _count_tuples_built(monkeypatch)
+    cold = run_job(s)
+    assert cold["meta"]["cache"] == {"hits": 0, "misses": 2}
+    assert built == [True] * cold["census"]["tuples"] and cold["census"]["pointed"] > 0
 
 
 def test_cold_run_drops_the_enumerated_tuples_before_the_reports(tmp_path, monkeypatch):

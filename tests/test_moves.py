@@ -132,6 +132,13 @@ def test_orbit_cap(s3):
         braid_orbit(t, orbit_cap=3)
 
 
+def test_braid_orbit_cap_error_names_phase_and_progress(s3):
+    t = enumerate_tuples(s3, 0, 4)[0]
+    with pytest.raises(OrbitCapExceeded,
+                       match=r"^braid orbit: size exceeds cap 3; 3 tuples reached$"):
+        braid_orbit(t, orbit_cap=3)
+
+
 def test_orbit_caps_bound_the_tuples_reached(s3):
     # braid_orbit admits at most orbit_cap tuples, the seed included;
     # components admits orbit_cap tuples reached by a move, seeds excluded
@@ -355,6 +362,17 @@ def test_unpointed_quotient_is_the_image_of_the_tuple_orbits(matrix, twisted, s3
         per_row = [cls.unpointed_of[c] for c in cls.pointed_of]
         expected = _class_orbits(part.orbit_of, per_row, len(cls.unpointed))
         assert part.quotients["unpointed"] == expected, (G, g, n, bt)
+
+
+def test_components_cap_error_names_phase_and_progress(a5):
+    # on A5 g0 n3 a cap one short of the 2270 tuples reached trips in the
+    # last of the 6 class orbits; the 5 before it reached 2152
+    cls = classify_space(a5, 0, 3)
+    with pytest.raises(OrbitCapExceeded, match=r"^move orbits: tuples reached exceed cap 2269; "
+                                               r"2152 reached in 5 finished class orbit\(s\)$"):
+        components(cls, orbit_cap=2269)
+    with pytest.raises(OrbitCapExceeded, match=r"; 0 reached in 0 finished class orbit\(s\)$"):
+        components(cls, orbit_cap=30)
 
 
 def test_components_orbit_cap_is_exact_on_split_orbits(a5):

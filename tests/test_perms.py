@@ -161,6 +161,13 @@ def test_generate_group_cap():
     assert generate_group(gens).order == 120
 
 
+def test_generate_group_cap_error_names_phase_and_progress():
+    gens = [parse_perm("(1 2)", 5), parse_perm("(1 2 3 4 5)", 5)]
+    with pytest.raises(OrderCapExceeded,
+                       match=r"^group closure: order exceeds cap 10; 10 elements found$"):
+        generate_group(gens, cap=10)
+
+
 def test_generates(s3, c3):
     r, t = parse_perm("(1 2 3)", 3), parse_perm("(1 2)", 3)
     assert generates(s3, [r, t]) and generates(s3, (t, r, t)) and generates(c3, [r])
@@ -393,6 +400,15 @@ def test_normalizer_order_cap(monkeypatch):
         normalizer_in_sym(G)
     with pytest.raises(OrderCapExceeded):
         centralizer_in_sym(G)
+
+
+def test_normalizer_cap_error_names_phase_and_progress(monkeypatch):
+    # N(0) = S_10 comes first and |N| >= 2 |N(0)|, so element 501 trips cap 1000
+    monkeypatch.setattr(perms, "DEFAULT_ORDER_CAP", 1000)
+    G = subgroup_from_elements(12, [identity(12), parse_perm("(1 2)", 12)])
+    with pytest.raises(OrderCapExceeded,
+                       match=r"^normalizer search: order exceeds cap 1000; 501 elements found$"):
+        normalizer_in_sym(G)
 
 
 def test_with_marked_point(s3):

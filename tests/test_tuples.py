@@ -167,6 +167,18 @@ def test_work_cap_bounds_visited_nodes(s3, c2):
             enumerate_tuples(G, g, n, work_cap=nodes - 1)
 
 
+def test_work_cap_errors_name_phase_and_progress(s3):
+    # the up-front bound trips before any node; the node count trips mid-search
+    with pytest.raises(WorkCapExceeded, match=r"^enumeration: the bound \|G\|\^\(2g\+n-1\) = "
+                                              r"6\^3 exceeds work cap 10; no node visited$"):
+        enumerate_tuples(s3, 0, 4, work_cap=10)
+    stats = {}
+    assert len(enumerate_tuples(s3, 1, 2, stats=stats)) == 132 and stats["nodes"] == 222
+    with pytest.raises(WorkCapExceeded, match=r"^enumeration: 222 visited nodes exceed work cap "
+                                              r"221; 132 tuples kept so far$"):
+        enumerate_tuples(s3, 1, 2, work_cap=221)
+
+
 def test_bad_arguments(s3):
     with pytest.raises(ValueError):
         enumerate_tuples(s3, -1, 3)
