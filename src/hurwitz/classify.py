@@ -2,22 +2,23 @@
 
 Two levels of identification:
 
-  * pointed: conjugation by N(lam0), the subgroup of the normalizer of G
-    in the full symmetric group whose elements fix the marked point.  The
-    action is free, so every class has exactly |N(lam0)| members.
+  * pointed: conjugation by N(lam0), the elements of the normalizer of G
+    in the full symmetric group that fix the marked point, found by the
+    normalizer search with lam0 fixed.  The action is free, so every class
+    has exactly |N(lam0)| members.
   * unpointed (cover equivalence): conjugation by the full normalizer
-    N_Sym(G); the equivalence witness is unique exactly when the
-    centralizer of G in the symmetric group is trivial.
+    N_Sym(G); the witness is unique exactly when the centralizer of G in
+    the symmetric group is trivial.
 
 Canonical class representatives are orbit minima in the global total
 order.  ``classify_space`` works on rows of element indices: one sweep
-over the sorted rows expands one N(lam0)-orbit per pointed class, each
-conjugation an index map per entry.  The unpointed classes come from the
-pointed ones.  G is transitive and normal in N_Sym(G), so by the Frattini
-argument N_Sym(G) = N(lam0) T, where T holds one element of G moving lam0
-to each point.  The N_Sym(G)-orbit of t is then the union of the pointed
-classes of r t r^-1 over r in T; its minimum is the canonical of its
-first pointed class, and its size is the union's size times |N(lam0)|.
+over the sorted rows expands one N(lam0)-orbit per pointed class.  The
+unpointed classes come from the pointed ones, and N_Sym(G) is never
+built: G is transitive and normal in N_Sym(G), so by the Frattini argument
+N_Sym(G) = N(lam0) T with T one element of G moving lam0 to each point,
+and the N_Sym(G)-orbit of t is the union of the pointed classes of
+r t r^-1 over r in T.  Only the single-tuple ``are_cover_equivalent`` and
+``unpointed_class`` search N_Sym(G).
 """
 
 from __future__ import annotations

@@ -10,6 +10,9 @@ All text I/O is 1-based disjoint-cycle notation; everything internal is
 0-based.  The total order on permutations is lexicographic on the image
 tuple (one-line notation); every canonical representative and sorted
 listing in the package uses it.
+
+The normalizer of a group in Sym(d) and its point stabilizers N(lam) come
+from one search that can fix a point at its root; the pipeline builds N(lam0).
 """
 
 from __future__ import annotations
@@ -232,20 +235,9 @@ class PermGroup:
     # -- structure -----------------------------------------------------------
 
     def is_transitive(self) -> bool:
-        if "transitive" in self._cache:
-            return self._cache["transitive"]  # type: ignore[return-value]
-        reach = {0}
-        frontier = deque([0])
-        while frontier:
-            lam = frontier.popleft()
-            for g in self.generators:
-                mu = g[lam]
-                if mu not in reach:
-                    reach.add(mu)
-                    frontier.append(mu)
-        result = len(reach) == self.degree
-        self._cache["transitive"] = result
-        return result
+        if "transitive" not in self._cache:
+            self._cache["transitive"] = len({g[0] for g in self.elements}) == self.degree
+        return self._cache["transitive"]  # type: ignore[return-value]
 
     def point_stabilizer(self, lam: int) -> "PermGroup":
         if not 0 <= lam < self.degree:
@@ -464,54 +456,71 @@ def subgroup_from_elements(degree: int, members, marked_point: int = 0) -> PermG
     return PermGroup(degree, members, members, marked_point=marked_point)
 
 
-def normalizer_in_sym(G: PermGroup) -> PermGroup:
-    """Normalizer of G in the full symmetric group on its points.
+def _normalizer_search(G: PermGroup, lam: int | None) -> PermGroup:
+    """The s in Sym(d) with s^-1 G s = G, and s[lam] = lam if lam is given; memoized.
 
-    Depth-first search that assigns s[0], s[1], ... in increasing order,
-    so the leaves come out sorted.  For each generator g a node keeps the
-    elements of G that agree with s^-1 * g * s, the map s[j] -> s[g[j]],
-    where it is defined; a branch dies once one list is empty.  Every leaf
-    normalizes G, since s^-1 G s <= G forces equality in a finite group.
+    Depth-first search giving the points images in breadth-first order along
+    the generators: the root (lam, or point 0) and its orbit, then each orbit
+    not yet reached from its least point.  For each generator g a node keeps
+    the h in G with h[s[j]] = s[g[j]] where s is defined; a branch dies once
+    one list is empty.  A point g[q] after the first of its orbit has q
+    earlier, so its image is some h[s[q]].  Every leaf normalizes G, as
+    s^-1 G s <= G forces equality.  The leaves fixing the root come first
+    and |N| >= |N(root)| * |root^G|, so the order cap is checked on that.
     """
-    if "normalizer_sym" in G._cache:
-        return G._cache["normalizer_sym"]  # type: ignore[return-value]
-    d = G.degree
+    key = f"normalizer:{lam}"
+    if key in G._cache:
+        return G._cache[key]  # type: ignore[return-value]
+    d, root = G.degree, 0 if lam is None else lam
     gens = [(g, inverse(g)) for g in G.generators]
-    orbit0 = len({h[0] for h in G.elements})
+    order = [root]
+    for p in order:  # grows while it is walked
+        order += [q for q in dict.fromkeys(g[p] for g, _ in gens) if q not in order]
+        if p == order[-1] and len(order) < d:  # an orbit is closed
+            order.append(min(set(range(d)).difference(order)))
+    pos = inverse(order)
+    # per level and generator: the positions of g^-1[p] and g[p] if they have images by then
+    checks = [[(pos[ginv[p]] if pos[ginv[p]] < k else -1, pos[g[p]] if pos[g[p]] <= k else -1)
+               for g, ginv in gens] for k, p in enumerate(order)]
+    orbit = len({h[root] for h in G.elements})
     members: list[Perm] = []
     stack = [((), [G.elements] * len(gens))]
     while stack:
-        s, agreeing = stack.pop()
-        k = len(s)
+        t, agreeing = stack.pop()  # t[k] is the image of order[k]
+        k = len(t)
         if k == d:
-            members.append(s)
-            # cap check: N_0 (fixing point 0) comes first and |N| >= |N_0| * |0^G|
-            if len(members) * (orbit0 if s[0] == 0 else 1) > DEFAULT_ORDER_CAP:
+            members.append(tuple(map(t.__getitem__, pos)))
+            if len(members) * (orbit if t[0] == root else 1) > DEFAULT_ORDER_CAP:
                 raise OrderCapExceeded(f"normalizer search: order exceeds cap "
                                        f"{DEFAULT_ORDER_CAP}; {len(members)} elements found")
             continue
-        images = set(range(d)).difference(s)
-        for (g, ginv), hs in zip(gens, agreeing):
-            if ginv[k] < k:  # g[j] = k for j < k: s[k] is h[s[j]] for a kept h
-                c = s[ginv[k]]
+        images = {root} if k == 0 and lam is not None else set(range(d)).difference(t)
+        for (i, _), hs in zip(checks[k], agreeing):
+            if i >= 0:
+                c = t[i]
                 images.intersection_update(h[c] for h in hs)
         for a in sorted(images, reverse=True):
-            t = s + (a,)
+            u = t + (a,)
             kept = []
-            for (g, ginv), hs in zip(gens, agreeing):
-                if ginv[k] < k:
-                    c = t[ginv[k]]
+            for (i, j), hs in zip(checks[k], agreeing):
+                if i >= 0:
+                    c = u[i]
                     hs = [h for h in hs if h[c] == a]
-                if g[k] <= k:
-                    b = t[g[k]]
+                if j >= 0:
+                    b = u[j]
                     hs = [h for h in hs if h[a] == b]
                 if not hs:
                     break
                 kept.append(hs)
             else:
-                stack.append((t, kept))
-    G._cache["normalizer_sym"] = subgroup_from_elements(d, members, marked_point=G.marked_point)
-    return G._cache["normalizer_sym"]  # type: ignore[return-value]
+                stack.append((u, kept))
+    G._cache[key] = subgroup_from_elements(d, members, marked_point=G.marked_point)
+    return G._cache[key]  # type: ignore[return-value]
+
+
+def normalizer_in_sym(G: PermGroup) -> PermGroup:
+    """Normalizer of G in the full symmetric group: the search with no point fixed."""
+    return _normalizer_search(G, None)
 
 
 def centralizer_in_sym(G: PermGroup) -> PermGroup:
@@ -525,10 +534,14 @@ def centralizer_in_sym(G: PermGroup) -> PermGroup:
 
 
 def normalizer_fixing_point(G: PermGroup, lam: int | None = None) -> PermGroup:
-    """N(lam) = elements of the normalizer of G in S_d that fix the point lam.
+    """N(lam): the elements of the normalizer of G in S_d that fix the point lam.
 
-    With lam omitted, uses the group's marked point.
+    With lam omitted, uses the group's marked point.  The normalizer search
+    with s[lam] = lam set at its root, exact for intransitive G too; its order
+    cap bounds |N(lam)| * |lam^G|, which is |N_Sym(G)| for a transitive G.
     """
     if lam is None:
         lam = G.marked_point
-    return normalizer_in_sym(G).point_stabilizer(lam)
+    if not 0 <= lam < G.degree:
+        raise PointOutOfRange(f"point {lam} out of range for degree {G.degree}")
+    return _normalizer_search(G, lam)

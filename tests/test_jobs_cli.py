@@ -9,6 +9,7 @@ import subprocess
 import sys
 import weakref
 from array import array
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -33,7 +34,10 @@ from hurwitz import (
     run_job,
 )
 from hurwitz.cache import _encode
+import hurwitz
+import hurwitz.classify as classify
 import hurwitz.jobs as jobs
+import hurwitz.perms as perms
 from hurwitz.jobs import build_group
 from hurwitz.cli import main
 
@@ -410,6 +414,32 @@ def test_run_job_hashes_no_tuple(tmp_path, monkeypatch, overrides):
     assert comparison_payload(cold) == comparison_payload(warm) == expected
 
 
+@pytest.mark.parametrize("doc", [
+    {"degree": 5, "generators": ["(1 2 3 4 5)", "(1 2 3)"], "base_genus": 0, "branch_points": 3},
+    {"degree": 3, "generators": ["(1 2)", "(1 2 3)"], "base_genus": 1, "branch_points": 4},
+], ids=["a5-g0-n3", "s3-g1-n4"])
+def test_run_job_never_builds_the_full_normalizer(tmp_path, monkeypatch, doc):
+    # the pipeline quotients by N(lam0) and reaches the unpointed classes through G
+    s = dataclasses.replace(parse_job(json.dumps(dict(doc, format_version=1))),
+                            cache_dir=str(tmp_path))
+    expected = comparison_payload(run_job(dataclasses.replace(s, use_cache=False)))
+    search = perms._normalizer_search
+
+    def refuse(*args):
+        raise AssertionError("N_Sym(G) built")
+
+    def fixed_only(G, lam):
+        return refuse() if lam is None else search(G, lam)
+
+    for module in (perms, classify, hurwitz):
+        monkeypatch.setattr(module, "normalizer_in_sym", refuse)
+    monkeypatch.setattr(perms, "_normalizer_search", fixed_only)
+    cold, warm = run_job(s), run_job(s)
+    assert cold["meta"]["cache"] == {"hits": 0, "misses": 2}
+    assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
+    assert comparison_payload(cold) == comparison_payload(warm) == expected
+
+
 def _count_tuples_built(monkeypatch) -> list[bool]:
     """Record, per HurwitzTuple built from now on, whether jobs.enumerate_tuples was running."""
     built, inside = [], []
@@ -711,6 +741,15 @@ def test_cli_exit_code_cap(runner, tmp_path):
     p.write_text(json.dumps(spec_of({"caps": {"work": 10}})))
     res = runner.invoke(main, ["census", str(p)])
     assert res.exit_code == 3
+
+
+def test_cli_exit_code_normalizer_cap(runner, monkeypatch):
+    # the regular C2^3 has |N(1)| * |1^G| = 168 * 8 = 1344 > 1000
+    monkeypatch.setattr(perms, "DEFAULT_ORDER_CAP", 1000)
+    job = Path(__file__).resolve().parents[1] / "jobs" / "c2cubed_regular_g0_n5.json"
+    res = runner.invoke(main, ["census", str(job), "--no-cache"])
+    assert res.exit_code == 3
+    assert "normalizer search: order exceeds cap 1000; 126 elements found" in res.output
 
 
 def test_cli_cache_flags(runner, job_file, tmp_path):

@@ -10,6 +10,7 @@ from hurwitz import perms
 from hurwitz import (
     CycleSyntaxError,
     DegreeMismatch,
+    HurwitzTuple,
     OrderCapExceeded,
     PermGroup,
     PointOutOfRange,
@@ -31,6 +32,7 @@ from hurwitz import (
     normalizer_in_sym,
     parse_perm,
     perm_order,
+    relabel,
     subgroup_from_elements,
 )
 
@@ -409,6 +411,75 @@ def test_normalizer_cap_error_names_phase_and_progress(monkeypatch):
     with pytest.raises(OrderCapExceeded,
                        match=r"^normalizer search: order exceeds cap 1000; 501 elements found$"):
         normalizer_in_sym(G)
+
+
+def _relabel_cases(c2, s3, c3, v4):
+    def gen(d, *cycles):
+        return generate_group([parse_perm(c, d) for c in cycles])
+    return [
+        c2, s3, c3, v4,
+        gen(9, "(1 2 3 4 5 6 7 8 9)"),
+        gen(5, "(1 2 3 4 5)", "(1 2 3)"),
+        gen(4, "(1 2 3 4)", "(1 2)"),
+        # D4 on 4 points and PGL(2,5) on 6, drawn at random: a search that skips
+        # a generator's fixed points, or the check s[g[p]] when s[g^-1[p]] is set, keeps
+        # extra leaves here
+        gen(4, "(1 2)", "(1 3)(2 4)"),
+        gen(6, "(1 5 3 4)", "(1 6)(2 5)"),
+        # intransitive: the search runs orbit after orbit, and N(lam) is not N(0) moved by G
+        gen(4, "(1 2)"),
+        gen(5, "(1 2)"),
+        gen(4, "(1 2)", "(3 4)"),
+        gen(5, "(1 2)", "(3 4)"),
+        gen(6, "(2 5)(4 6)", "(1 3)(2 5)(4 6)"),
+    ]
+
+
+def test_normalizer_searches_commute_with_relabelling(c2, s3, c3, v4):
+    # phi relabels G as phi G phi^-1 and the point lam as lam . phi^-1: the
+    # searches must give phi N phi^-1 and phi N(lam) phi^-1, whatever order
+    # the new labels give the points
+    rng = random.Random(2026)
+    for G in _relabel_cases(c2, s3, c3, v4):
+        d = G.degree
+        full = normalizer_in_sym(G)
+        fixed = [normalizer_fixing_point(G, lam) for lam in range(d)]
+        for _ in range(4):
+            phi = tuple(rng.sample(range(d), d))
+            _, H = relabel(HurwitzTuple(G.generators, 0), phi, G)
+
+            def moved(K):
+                return tuple(sorted(conjugate(s, phi) for s in K))
+
+            assert normalizer_in_sym(H).elements == moved(full)
+            for lam in range(d):
+                assert normalizer_fixing_point(H, inverse(phi)[lam]).elements == moved(fixed[lam])
+            if d <= 6:
+                expected = sorted(o.o_normalizer(H.elements, d))
+                assert normalizer_in_sym(H).elements == tuple(expected)
+                for lam in range(d):
+                    assert normalizer_fixing_point(H, lam).elements == tuple(
+                        o.o_point_stabilizer(expected, lam))
+
+
+def test_fixed_normalizer_search_cap(monkeypatch):
+    # regular C2^3: |N(0)| = 168 and |0^G| = 8, so the cap bounds 168 * 8 = |N_Sym(G)| = 1344
+    gens = [parse_perm(c, 8) for c in
+            ("(1 2)(3 4)(5 6)(7 8)", "(1 3)(2 4)(5 7)(6 8)", "(1 5)(2 6)(3 7)(4 8)")]
+    monkeypatch.setattr(perms, "DEFAULT_ORDER_CAP", 1343)
+    with pytest.raises(OrderCapExceeded,
+                       match=r"^normalizer search: order exceeds cap 1343; 168 elements found$"):
+        normalizer_fixing_point(generate_group(gens))
+    monkeypatch.setattr(perms, "DEFAULT_ORDER_CAP", 1344)
+    assert normalizer_fixing_point(generate_group(gens)).order == 168
+    # intransitive <(1 2)> on 12 points: |0^G| = 2 but |5^G| = 1, so N(5) = S_2 x S_9
+    # runs to element 1001 under cap 1000, N(0) = S_10 only to element 501
+    monkeypatch.setattr(perms, "DEFAULT_ORDER_CAP", 1000)
+    G = subgroup_from_elements(12, [identity(12), parse_perm("(1 2)", 12)])
+    for lam, found in [(0, 501), (5, 1001)]:
+        with pytest.raises(OrderCapExceeded,
+                           match=rf"^normalizer search: order exceeds cap 1000; {found} elements found$"):
+            normalizer_fixing_point(G, lam)
 
 
 def test_with_marked_point(s3):
