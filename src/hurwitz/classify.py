@@ -11,14 +11,13 @@ Two levels of identification:
     the symmetric group is trivial.
 
 Canonical class representatives are orbit minima in the global total
-order.  ``classify_space`` works on rows of element indices: one sweep
-over the sorted rows expands one N(lam0)-orbit per pointed class.  The
-unpointed classes come from the pointed ones, and N_Sym(G) is never
-built: G is transitive and normal in N_Sym(G), so by the Frattini argument
-N_Sym(G) = N(lam0) T with T one element of G moving lam0 to each point,
-and the N_Sym(G)-orbit of t is the union of the pointed classes of
-r t r^-1 over r in T.  Only the single-tuple ``are_cover_equivalent`` and
-``unpointed_class`` search N_Sym(G).
+order.  Every class computation maps tuples to rows of element indices and
+reads one memoized action per group and point: the conjugation maps of
+N(lam0) and of T, the minimal element of G moving lam0 to each point, and
+the N(lam0)-orbit of a row, checked to be free.  N_Sym(G) is never built: G
+is transitive and normal in N_Sym(G), so by the Frattini argument N_Sym(G) =
+N(lam0) T, and the N_Sym(G)-orbit of t is the union of the pointed classes
+of r t r^-1 over r in T.
 """
 
 from __future__ import annotations
@@ -27,15 +26,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DegreeMismatch, FreeActionViolated, InternalInvariantViolation, PointOutOfRange
+from .errors import (DegreeMismatch, FreeActionViolated, IntransitiveGroup,
+                     InternalInvariantViolation)
 from .perms import (
     Perm,
     PermGroup,
     centralizer_in_sym,
+    compose,
     conjugate,
+    format_perm,
     inverse,
     normalizer_fixing_point,
-    normalizer_in_sym,
 )
 from .tuples import (
     DEFAULT_WORK_CAP,
@@ -72,8 +73,50 @@ class UnpointedClass:
     orbit_size: int
 
 
-def _orbit(t: HurwitzTuple, conjugators) -> set[HurwitzTuple]:
-    return {conjugate_tuple(t, s) for s in conjugators}
+class _RowAction:
+    """How N(lam) and T, the minimal element of G moving lam to each point (keyed
+    by it in ``transversal``), act on rows of ``G.table`` indices: ``images[e][k]``
+    is element e conjugated by N(lam)'s k-th element, ``moved[e][i]`` by T's i-th."""
+
+    def __init__(self, G: PermGroup, lam: int):
+        self.N = normalizer_fixing_point(G, lam)
+        self.images = list(zip(*map(G.table.conjugation, self.N.elements)))
+        self.transversal = {g[lam]: g for g in reversed(G.elements)}  # the last write wins
+        self.moved = list(zip(*map(G.table.conjugation, self.transversal.values())))
+
+    def orbit(self, row: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The conjugates of the row by N(lam), in its order; the action must be free."""
+        orbit = list(zip(*map(self.images.__getitem__, row)))
+        size = len(set(orbit))
+        if size != self.N.order:
+            raise FreeActionViolated(f"orbit of size {size} under N(lam0) of order {self.N.order}")
+        return orbit
+
+    def conjugates(self, row: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+        """Per r in T, the N(lam)-orbit of r t r^-1 for the row t; their
+        union is the N_Sym(G)-orbit of t, which needs G transitive."""
+        if len(self.transversal) != self.N.degree:
+            raise IntransitiveGroup("N_Sym(G) = N(lam0) T needs a transitive group")
+        return [self.orbit(member) for member in zip(*map(self.moved.__getitem__, row))]
+
+
+def _row_action(G: PermGroup, lam: int) -> _RowAction:
+    key = f"row_action:{lam}"
+    if key not in G._cache:
+        G._cache[key] = _RowAction(G, lam)
+    return G._cache[key]  # type: ignore[return-value]
+
+
+def _row(t: HurwitzTuple, G: PermGroup) -> tuple[int, ...]:
+    """The entries of t as ``G.table`` indices; one outside G raises DegreeMismatch."""
+    try:
+        return tuple(map(G.table.index.__getitem__, t.entries))
+    except KeyError as exc:
+        raise DegreeMismatch(f"{format_perm(exc.args[0])} is not an element of the group") from None
+
+
+def _tuple(row: tuple[int, ...], G: PermGroup, base_genus: int) -> HurwitzTuple:
+    return HurwitzTuple(tuple(map(G.table.elements.__getitem__, row)), base_genus)
 
 
 def pointed_class(t: HurwitzTuple, G: PermGroup,
@@ -83,28 +126,18 @@ def pointed_class(t: HurwitzTuple, G: PermGroup,
     The orbit must have exactly |N(lam0)| members (the action is free on
     valid tuples); a smaller orbit signals an upstream bug.
     """
-    if marked_point is None:
-        marked_point = G.marked_point
-    N = normalizer_fixing_point(G, marked_point)
-    orbit = _orbit(t, N)
-    if len(orbit) != N.order:
-        raise FreeActionViolated(
-            f"orbit of size {len(orbit)} under N(lam0) of order {N.order}"
-        )
-    return PointedClass(min(orbit), marked_point)
+    lam = G.marked_point if marked_point is None else marked_point
+    orbit = _row_action(G, lam).orbit(_row(t, G))
+    return PointedClass(_tuple(min(orbit), G, t.base_genus), lam)
 
 
 def are_pointed_equivalent(t1: HurwitzTuple, t2: HurwitzTuple,
                            G: PermGroup,
                            marked_point: int | None = None) -> Perm | None:
     """The unique witness s in N(lam0) with s t1 s^-1 == t2, if any."""
-    N = normalizer_fixing_point(G, marked_point)
-    witnesses = [s for s in N if conjugate_tuple(t1, s) == t2]
-    if len(witnesses) > 1:
-        raise FreeActionViolated(
-            f"{len(witnesses)} pointed witnesses found; the action must be free"
-        )
-    return witnesses[0] if witnesses else None
+    action = _row_action(G, G.marked_point if marked_point is None else marked_point)
+    orbit, row = action.orbit(_row(t1, G)), _row(t2, G)
+    return action.N.elements[orbit.index(row)] if row in orbit else None
 
 
 @dataclass(frozen=True)
@@ -122,23 +155,27 @@ class EquivalenceWitness:
 
 def are_cover_equivalent(t1: HurwitzTuple, t2: HurwitzTuple,
                          G: PermGroup) -> EquivalenceWitness | None:
-    """First witness s in N_Sym(G) with s t1 s^-1 == t2, with uniqueness flag."""
-    N = normalizer_in_sym(G)
-    witnesses = [s for s in N if conjugate_tuple(t1, s) == t2]
+    """Least witness s in N_Sym(G) with s t1 s^-1 == t2, with uniqueness flag:
+    the n r with r in T and n in N(lam0) conjugating r t1 r^-1 onto t2.  An
+    intransitive G raises IntransitiveGroup."""
+    action = _row_action(G, G.marked_point)
+    row, N = _row(t2, G), action.N.elements
+    witnesses = [compose(N[orbit.index(row)], r) for r, orbit in
+                 zip(action.transversal.values(), action.conjugates(_row(t1, G))) if row in orbit]
     if not witnesses:
         return None
     z = centralizer_in_sym(G).order
     if len(witnesses) != z:
-        raise FreeActionViolated(
-            f"{len(witnesses)} cover witnesses but |Z| = {z}"
-        )
-    return EquivalenceWitness(witnesses[0], z == 1, len(witnesses))
+        raise FreeActionViolated(f"{len(witnesses)} cover witnesses but |Z| = {z}")
+    return EquivalenceWitness(min(witnesses), z == 1, len(witnesses))
 
 
 def unpointed_class(t: HurwitzTuple, G: PermGroup) -> UnpointedClass:
-    """The N_Sym(G)-conjugation class of t."""
-    orbit = _orbit(t, normalizer_in_sym(G))
-    return UnpointedClass(min(orbit), len(orbit))
+    """The N_Sym(G)-conjugation class of t: the pointed classes of r t r^-1
+    over r in T; an intransitive G raises IntransitiveGroup."""
+    action = _row_action(G, G.marked_point)
+    minima = {min(orbit) for orbit in action.conjugates(_row(t, G))}
+    return UnpointedClass(_tuple(min(minima), G, t.base_genus), len(minima) * action.N.order)
 
 
 def relabel(t: HurwitzTuple, phi: Perm, G: PermGroup) -> tuple[HurwitzTuple, PermGroup]:
@@ -157,30 +194,20 @@ def relabel(t: HurwitzTuple, phi: Perm, G: PermGroup) -> tuple[HurwitzTuple, Per
     return conjugate_tuple(t, phi), new_group
 
 
-def _transversal(G: PermGroup, lam: int) -> dict[int, Perm]:
-    """Per point the minimal element of G moving ``lam`` to it (the last write wins)."""
-    return {g[lam]: g for g in reversed(G.elements)}
-
-
 def change_marked_point(c: PointedClass, lam1: int, G: PermGroup) -> PointedClass:
     """Transport a pointed class at lam0 to the marked point lam1.
 
-    Uses the minimal g in G with lam0 . g = lam1 and conjugates by g^-1;
-    the class map does not depend on that choice and is a bijection
-    between the two quotient sets.
+    Conjugates by the minimal g in G with lam1 . g = lam0; the class map
+    does not depend on that choice and is a bijection between the two
+    quotient sets.
     """
     lam0 = c.marked_point
-    if not 0 <= lam1 < G.degree:
-        raise PointOutOfRange(f"point {lam1} out of range for degree {G.degree}")
     if lam1 == lam0:
         return c
-    g = _transversal(G, lam0).get(lam1)
+    g = _row_action(G, lam1).transversal.get(lam0)  # raises PointOutOfRange for a bad lam1
     if g is None:
-        raise DegreeMismatch(
-            f"no group element moves point {lam0} to {lam1}; the group is not transitive"
-        )
-    moved = conjugate_tuple(c.canonical, inverse(g))
-    return pointed_class(moved, G, marked_point=lam1)
+        raise DegreeMismatch(f"no element of G moves {lam1} to {lam0}; G is not transitive")
+    return pointed_class(conjugate_tuple(c.canonical, g), G, marked_point=lam1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +264,12 @@ class SpaceClassification:
 
     @cached_property
     def tuples(self) -> tuple[HurwitzTuple, ...]:
-        elements = self.group.table.elements
-        return tuple([HurwitzTuple(tuple(map(elements.__getitem__, row)), self.base_genus)
-                      for row in self.rows])
+        return tuple([_tuple(row, self.group, self.base_genus) for row in self.rows])
 
     @cached_property
     def pointed(self) -> tuple[PointedClass, ...]:
-        elements, lam = self.group.table.elements, self.group.marked_point
-        return tuple([PointedClass(HurwitzTuple(tuple(map(elements.__getitem__, row)),
-                                                self.base_genus), lam) for row in self.canonicals])
+        return tuple([PointedClass(_tuple(row, self.group, self.base_genus),
+                                   self.group.marked_point) for row in self.canonicals])
 
     @cached_property
     def unpointed(self) -> tuple[UnpointedClass, ...]:
@@ -312,10 +336,8 @@ def classify_space(
     elif fil is not None and any(type_key(table.classes, row[2 * base_genus:]) != fil
                                  for row in rows):
         raise InternalInvariantViolation("a row breaks the branching type")
-    N = normalizer_fixing_point(G)
+    action = _row_action(G, G.marked_point)
     position = {row: k for k, row in enumerate(rows)}
-    # images[e][k]: index of the conjugate of element e by the k-th element of N(lam0)
-    images = list(zip(*map(table.conjugation, N.elements)))
 
     # pointed: one orbit expansion per class; the minimum is taken over the
     # whole orbit, which a twisted type filter can carry outside the list
@@ -324,19 +346,16 @@ def classify_space(
     for k, row in enumerate(rows):
         if pointed_of[k] >= 0:
             continue
-        orbit = list(zip(*map(images.__getitem__, row)))
-        size = len(set(orbit))
-        if size != N.order:
-            raise FreeActionViolated(f"orbit of size {size} under N(lam0) of order {N.order}")
+        orbit = action.orbit(row)
         for j, member in enumerate(orbit):
             i = position.get(member)
             if i is not None:
                 pointed_of[i], conjugator_of[i] = len(found), j
         found.append((min(orbit), k))
-    stab_order = N.order
+    stab_order = action.N.order
     if fil is not None:
         stab_order = sum(type_key(table.classes, col) == fil
-                         for col in zip(*map(images.__getitem__, fil)))
+                         for col in zip(*map(action.images.__getitem__, fil)))
     if len(rows) != len(found) * stab_order:
         raise FreeActionViolated(
             f"{len(rows)} tuples vs {len(found)} pointed classes "
@@ -347,17 +366,15 @@ def classify_space(
     pointed_of = [rank[c] for c in pointed_of]
     canonicals = tuple([found[c][0] for c in order])
 
-    # unpointed: N_Sym(G) = N(lam0) T, T the minimal element of G moving lam0
-    # to each point; a class is the union of the pointed classes of r t r^-1
-    # over r in T, and its first pointed class is its minimum
-    moved = list(zip(*map(table.conjugation, _transversal(G, G.marked_point).values())))
+    # unpointed: N_Sym(G) = N(lam0) T; a class is the union of the pointed
+    # classes of r t r^-1 over r in T, and its first pointed class is its minimum
     unpointed_of = [-1] * len(canonicals)
     unpointed_first: list[int] = []
     for c in range(len(canonicals)):
         if unpointed_of[c] >= 0:
             continue
         union = set()
-        for member in zip(*map(moved.__getitem__, rows[found[order[c]][1]])):
+        for member in zip(*map(action.moved.__getitem__, rows[found[order[c]][1]])):
             if member not in position:
                 raise InternalInvariantViolation(
                     "a conjugate by G of a listed tuple is not listed")

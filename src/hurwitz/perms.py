@@ -11,8 +11,8 @@ All text I/O is 1-based disjoint-cycle notation; everything internal is
 tuple (one-line notation); every canonical representative and sorted
 listing in the package uses it.
 
-The normalizer of a group in Sym(d) and its point stabilizers N(lam) come
-from one search that can fix a point at its root; the pipeline builds N(lam0).
+The normalizer in Sym(d), its point stabilizers N(lam) and the centralizer
+come from one search that can fix a point at its root; the pipeline builds N(lam0).
 """
 
 from __future__ import annotations
@@ -456,7 +456,7 @@ def subgroup_from_elements(degree: int, members, marked_point: int = 0) -> PermG
     return PermGroup(degree, members, members, marked_point=marked_point)
 
 
-def _normalizer_search(G: PermGroup, lam: int | None) -> PermGroup:
+def _normalizer_search(G: PermGroup, lam: int | None, *, centralizing: bool = False) -> PermGroup:
     """The s in Sym(d) with s^-1 G s = G, and s[lam] = lam if lam is given; memoized.
 
     Depth-first search giving the points images in breadth-first order along
@@ -467,8 +467,10 @@ def _normalizer_search(G: PermGroup, lam: int | None) -> PermGroup:
     earlier, so its image is some h[s[q]].  Every leaf normalizes G, as
     s^-1 G s <= G forces equality.  The leaves fixing the root come first
     and |N| >= |N(root)| * |root^G|, so the order cap is checked on that.
+    ``centralizing`` seeds each generator's list with g alone, which leaves the
+    centralizer; its members fixing the root lie in N(root), so its cap trips no earlier.
     """
-    key = f"normalizer:{lam}"
+    key = f"{'centralizer' if centralizing else 'normalizer'}:{lam}"
     if key in G._cache:
         return G._cache[key]  # type: ignore[return-value]
     d, root = G.degree, 0 if lam is None else lam
@@ -484,7 +486,7 @@ def _normalizer_search(G: PermGroup, lam: int | None) -> PermGroup:
                for g, ginv in gens] for k, p in enumerate(order)]
     orbit = len({h[root] for h in G.elements})
     members: list[Perm] = []
-    stack = [((), [G.elements] * len(gens))]
+    stack = [((), [[g] if centralizing else G.elements for g, _ in gens])]
     while stack:
         t, agreeing = stack.pop()  # t[k] is the image of order[k]
         k = len(t)
@@ -524,13 +526,8 @@ def normalizer_in_sym(G: PermGroup) -> PermGroup:
 
 
 def centralizer_in_sym(G: PermGroup) -> PermGroup:
-    """Centralizer of G in the full symmetric group, taken out of N_Sym(G)."""
-    if "centralizer_sym" not in G._cache:
-        G._cache["centralizer_sym"] = subgroup_from_elements(G.degree, [
-            s for s in normalizer_in_sym(G)
-            if all(compose(s, g) == compose(g, s) for g in G.generators)
-        ], marked_point=G.marked_point)
-    return G._cache["centralizer_sym"]  # type: ignore[return-value]
+    """Centralizer of G in Sym(d): the normalizer search with each generator's list seeded."""
+    return _normalizer_search(G, None, centralizing=True)
 
 
 def normalizer_fixing_point(G: PermGroup, lam: int | None = None) -> PermGroup:

@@ -10,6 +10,8 @@ from hurwitz import (
     BranchingType,
     DegreeMismatch,
     FreeActionViolated,
+    HurwitzTuple,
+    IntransitiveGroup,
     InternalInvariantViolation,
     PointOutOfRange,
     are_cover_equivalent,
@@ -300,6 +302,28 @@ def test_cover_inequivalent_gives_none(s3):
     assert are_cover_equivalent(u0.canonical, u1.canonical, s3) is None
 
 
+def test_class_functions_reject_an_entry_outside_the_group(c3):
+    # a tuple's row of element indices is only defined for entries of G
+    t = HurwitzTuple((parse_perm("(1 2)", 3), parse_perm("(1 2)", 3)), 0)
+    ok = enumerate_tuples(c3, 0, 2)[0]
+    for call in (lambda: pointed_class(t, c3), lambda: unpointed_class(t, c3),
+                 lambda: are_pointed_equivalent(ok, t, c3), lambda: are_cover_equivalent(t, ok, c3)):
+        with pytest.raises(DegreeMismatch, match=r"\(1 2\) is not an element of the group"):
+            call()
+
+
+def test_unpointed_functions_need_a_transitive_group():
+    # N_Sym(G) = N(lam0) T holds for a transitive G only; the pointed class does not need it
+    G = generate_group([parse_perm("(1 2)", 4), parse_perm("(3 4)", 4)])
+    t = HurwitzTuple(tuple(parse_perm(e, 4) for e in ("(1 2)", "(1 2)", "(3 4)", "(3 4)")), 0)
+    for call in (lambda: unpointed_class(t, G), lambda: are_cover_equivalent(t, t, G)):
+        with pytest.raises(IntransitiveGroup):
+            call()
+    H = generate_group([parse_perm("(1 2 3)", 4)])
+    r, r2 = parse_perm("(1 2 3)", 4), parse_perm("(1 3 2)", 4)
+    assert pointed_class(HurwitzTuple((r2, r), 0), H).canonical == HurwitzTuple((r, r2), 0)
+
+
 def test_conjugate_tuple_keeps_genus_and_handle_slots(matrix, twisted, s3):
     spaces = [(G, g, n, None) for G, g, n in matrix] + twisted + [(s3, 1, 2, None)]
     for G, g, n, bt in spaces:
@@ -351,6 +375,59 @@ def test_change_marked_point_rejects_a_point_out_of_range(s3):
     for lam1 in (7, -1):
         with pytest.raises(PointOutOfRange, match="out of range"):
             change_marked_point(c, lam1, s3)
+
+
+def oracle_groups():
+    """S4, A5, the regular C2^3 (|Z| = 8) and two transitive groups of degree 6
+    drawn at random, with the branch count of the spaces they are tested on."""
+    def grp(d, *gens):
+        return generate_group([parse_perm(g, d) for g in gens])
+
+    return [(grp(4, "(1 2)", "(1 2 3 4)"), 3), (grp(5, "(1 2 3 4 5)", "(1 2 3)"), 3),
+            (regular_c2_cubed(), 5), (grp(6, "(1 4 2 3 5 6)", "(1 6 2 4 5 3)"), 3),
+            (grp(6, "(1 2 5 4 3 6)", "(2 6)"), 3)]
+
+
+def test_class_functions_against_scans_at_every_marked_point():
+    # brute-force N_Sym(G) by an S_d scan, N(lam) as its members fixing lam,
+    # against the four class functions, change_marked_point and the centralizer
+    for G, n in oracle_groups():
+        d, elements = G.degree, list(G.elements)
+        norm = sorted(o.o_normalizer(elements, d))
+        stab = [[s for s in norm if s[lam] == lam] for lam in range(d)]
+        assert centralizer_in_sym(G).elements == tuple(sorted(o.o_centralizer(elements, d)))
+        ts = enumerate_tuples(G, 0, n)
+        ts = ts[::-(-len(ts) // 30)]  # at most 30, spread over the space
+        conj = []  # per tuple t: each s in N_Sym(G) -> s t s^-1, as (handles, branches)
+        for t in ts:
+            conj.append({s: o.o_conjugate_tuple((t.handles, t.branches), s) for s in norm})
+        for lam in range(d):
+            H, fixed = G.with_marked_point(lam), stab[lam]
+            for i, t in enumerate(ts):
+                c = pointed_class(t, H)
+                assert (c.canonical.handles, c.canonical.branches) == min(conj[i][s] for s in fixed)
+                u = unpointed_class(t, H)
+                assert (u.canonical.handles, u.canonical.branches) == min(conj[i].values())
+                assert u.orbit_size == len(set(conj[i].values()))
+                for lam1 in range(d):
+                    # any g in G with lam1 . g = lam carries the class; take the largest
+                    g = max(e for e in elements if e[lam1] == lam)
+                    moved = change_marked_point(c, lam1, H)
+                    assert moved.marked_point == lam1
+                    assert (moved.canonical.handles, moved.canonical.branches) == min(
+                        conj[i][o.o_compose(s, g)] for s in stab[lam1])
+                for other in {conjugate_tuple(t, norm[k]) for k in (0, len(norm) // 3, -1)} | {
+                        ts[(i + 1) % len(ts)], ts[(i + 7) % len(ts)]}:
+                    key = (other.handles, other.branches)
+                    pointed = [s for s in fixed if conj[i][s] == key]
+                    assert are_pointed_equivalent(t, other, H) == (pointed[0] if pointed else None)
+                    cover = [s for s in norm if conj[i][s] == key]
+                    ew = are_cover_equivalent(t, other, H)
+                    if not cover:
+                        assert ew is None
+                    else:
+                        assert (ew.witness, ew.witness_count, ew.unique) == (
+                            cover[0], len(cover), len(cover) == 1)
 
 
 def test_relabel_preserves_structure(matrix):

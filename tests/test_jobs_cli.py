@@ -30,6 +30,7 @@ from hurwitz import (
     format_perm,
     normalizer_fixing_point,
     parse_job,
+    parse_perm,
     report_to_json,
     run_job,
 )
@@ -431,7 +432,7 @@ def test_run_job_never_builds_the_full_normalizer(tmp_path, monkeypatch, doc):
     def fixed_only(G, lam):
         return refuse() if lam is None else search(G, lam)
 
-    for module in (perms, classify, hurwitz):
+    for module in (perms, hurwitz):
         monkeypatch.setattr(module, "normalizer_in_sym", refuse)
     monkeypatch.setattr(perms, "_normalizer_search", fixed_only)
     cold, warm = run_job(s), run_job(s)
@@ -685,6 +686,47 @@ def test_cli_classify(runner, job_file):
     assert doc["pointed"]["witness"] == "(2 3)"
     assert doc["unpointed"]["equivalent"] is True
     assert doc["unpointed"]["witness_unique"] is True
+
+
+C2_CUBED_TUPLES = [
+    "--tuple", "(1 2)(3 4)(5 6)(7 8), (1 3)(2 4)(5 7)(6 8), (1 5)(2 6)(3 7)(4 8), "
+               "(1 2)(3 4)(5 6)(7 8), (1 7)(2 8)(3 5)(4 6)",
+    "--tuple", "(1 3)(2 4)(5 7)(6 8), (1 2)(3 4)(5 6)(7 8), (1 5)(2 6)(3 7)(4 8), "
+               "(1 3)(2 4)(5 7)(6 8), (1 6)(2 5)(3 8)(4 7)"]
+
+
+def test_classify_never_runs_the_unfixed_normalizer_search(runner, job_file, monkeypatch):
+    # a cover witness is n r over N(lam0) and G's transversal, and |Z| comes from
+    # the search seeded for the centralizer; no search runs unfixed and unseeded
+    c2_cubed = str(Path(__file__).resolve().parents[1] / "jobs" / "c2cubed_regular_g0_n5.json")
+    calls = [["classify", job_file, *CLASSIFY_TUPLES],
+             ["classify", c2_cubed, "--no-cache", *C2_CUBED_TUPLES]]
+
+    def answers():
+        outputs = [runner.invoke(main, args).output for args in calls]
+        G = build_group(parse_job(Path(c2_cubed).read_text()))[0]
+        t1, t2 = (HurwitzTuple(tuple(parse_perm(e, 8) for e in arg.split(", ")), 0)
+                  for arg in C2_CUBED_TUPLES[1::2])
+        return outputs, (classify.pointed_class(t1, G), classify.unpointed_class(t1, G),
+                         classify.are_pointed_equivalent(t1, t2, G),
+                         classify.are_cover_equivalent(t1, t2, G))
+
+    expected = answers()
+    assert [json.loads(out)["unpointed"]["witness_unique"] for out in expected[0]] == [True, False]
+    search = perms._normalizer_search
+
+    def refuse(*args):
+        raise AssertionError("N_Sym(G) built")
+
+    def fixed_or_centralizing(G, lam, *, centralizing=False):
+        if lam is None and not centralizing:
+            refuse()
+        return search(G, lam, centralizing=centralizing)
+
+    for module in (perms, hurwitz):
+        monkeypatch.setattr(module, "normalizer_in_sym", refuse)
+    monkeypatch.setattr(perms, "_normalizer_search", fixed_or_centralizing)
+    assert answers() == expected
 
 
 def test_cli_classify_inequivalent(runner, tmp_path):
