@@ -80,6 +80,7 @@ class _RowAction:
 
     def __init__(self, G: PermGroup, lam: int):
         self.N = normalizer_fixing_point(G, lam)
+        self.classes = G.table.classes
         self.images = list(zip(*map(G.table.conjugation, self.N.elements)))
         self.transversal = {g[lam]: g for g in reversed(G.elements)}  # the last write wins
         self.moved = list(zip(*map(G.table.conjugation, self.transversal.values())))
@@ -98,6 +99,11 @@ class _RowAction:
         if len(self.transversal) != self.N.degree:
             raise IntransitiveGroup("N_Sym(G) = N(lam0) T needs a transitive group")
         return [self.orbit(member) for member in zip(*map(self.moved.__getitem__, row))]
+
+    def spread(self, key: tuple[int, ...]) -> Counter:
+        """Per type key, how many n in N(lam) move the type key ``key`` to it."""
+        return Counter(type_key(self.classes, col)
+                       for col in zip(*map(self.images.__getitem__, key)))
 
 
 def _row_action(G: PermGroup, lam: int) -> _RowAction:
@@ -248,7 +254,10 @@ class SpaceClassification:
     ``unpointed_of[c]``, and the first class in u is ``unpointed_first[u]``.
     ``rows[k]`` is its class's first listed row conjugated by the
     ``conjugator_of[k]``-th element of N(lam0).  Built when read: ``tuples``,
-    ``pointed``, ``unpointed`` and ``type_keys`` (each row's ``type_key``).
+    ``pointed``, ``unpointed`` and ``types`` (each canonical's ``type_key``).
+    The census counts the tuples from the classes: N(lam0) acts freely, so
+    every tuple is n c for exactly one canonical c and one n in N(lam0), and
+    has type n type(c); under a type filter the listed tuples are those of its type.
     """
 
     group: PermGroup
@@ -278,17 +287,22 @@ class SpaceClassification:
                       for u, c in enumerate(self.unpointed_first)])
 
     @cached_property
-    def type_keys(self) -> tuple[tuple[int, ...], ...]:
+    def types(self) -> tuple[tuple[int, ...], ...]:
         classes, first = self.group.table.classes, 2 * self.base_genus
-        return tuple([type_key(classes, row[first:]) for row in self.rows])
+        return tuple([type_key(classes, row[first:]) for row in self.canonicals])
 
     @property
     def census(self) -> SpaceCensus:
-        table, first = self.group.table, 2 * self.base_genus
-        by_key = {key: [n, 0, 0] for key, n in Counter(self.type_keys).items()}
+        table, types = self.group.table, self.types
+        action = _row_action(self.group, self.group.marked_point)
+        fil = None if self.type_filter is None else self.type_filter.key(table)
+        by_key: dict[tuple[int, ...], list[int]] = {}
+        for key, m in Counter(types).items():
+            for image, n in action.spread(key).items():
+                if fil is None or image == fil:
+                    by_key.setdefault(image, [0, 0, 0])[0] += m * n
         # a twisted type filter can carry a canonical outside the listed rows
-        keys = [type_key(table.classes, row[first:]) for row in self.canonicals]
-        for col, members in enumerate((keys, map(keys.__getitem__, self.unpointed_first)), 1):
+        for col, members in enumerate((types, map(types.__getitem__, self.unpointed_first)), 1):
             for key in members:
                 by_key.setdefault(key, [0, 0, 0])[col] += 1
         rows = []
@@ -352,10 +366,7 @@ def classify_space(
             if i is not None:
                 pointed_of[i], conjugator_of[i] = len(found), j
         found.append((min(orbit), k))
-    stab_order = action.N.order
-    if fil is not None:
-        stab_order = sum(type_key(table.classes, col) == fil
-                         for col in zip(*map(action.images.__getitem__, fil)))
+    stab_order = action.N.order if fil is None else action.spread(fil)[fil]
     if len(rows) != len(found) * stab_order:
         raise FreeActionViolated(
             f"{len(rows)} tuples vs {len(found)} pointed classes "

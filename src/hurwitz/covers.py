@@ -28,10 +28,9 @@ from .errors import (
     NotASubgroup,
     ParityViolation,
 )
-from .perms import (Perm, PermGroup, compose, cycle_type, generates,
-                    normalizer_fixing_point, perm_order)
+from .perms import Perm, PermGroup, compose, cycle_type, generates, perm_order
 from .tuples import HurwitzTuple
-from .classify import SpaceClassification
+from .classify import SpaceClassification, _row_action
 
 
 @dataclass(frozen=True)
@@ -285,19 +284,18 @@ def universal_fiber_report(cls: SpaceClassification, c: int) -> CoverReport:
 
     Computed from the canonical row ``cls.canonicals[c]`` and re-verified on
     its conjugate by the first non-identity element of N(lam0) (when there is
-    one), through that element's conjugation map, built once per group.  Both
-    rows must generate G, a transitive group, and give the identical report,
-    since all the quantities are conjugation invariants.
+    one), column 1 of the row action's ``images``.  Both rows must generate
+    G, a transitive group, and give the identical report, since all the
+    quantities are conjugation invariants.
     """
     G, g, row = cls.group, cls.base_genus, cls.canonicals[c]
-    table, key = G.table, f"fiber_check:{G.marked_point}"
-    if key not in G._cache:  # sorted, so the identity is elements[0]
-        G._cache[key] = [table.conjugation(s) for s in normalizer_fixing_point(G).elements[1:2]]
+    table = G.table
     if not (G.is_transitive() and table.generates(row)):
         raise DisconnectedCover("the canonical row does not give a connected cover")
     report = _row_report(G, g, row)
-    for conj in G._cache[key]:  # type: ignore[attr-defined]
-        member = [conj[j] for j in row]
+    action = _row_action(G, G.marked_point)
+    if action.N.order > 1:  # N(lam0) is sorted, so its identity is column 0
+        member = [action.images[j][1] for j in row]
         if not table.generates(member) or _row_report(G, g, member) != report:
             raise InternalInvariantViolation(
                 "cover report differs across members of one pointed class")

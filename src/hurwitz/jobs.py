@@ -285,7 +285,7 @@ def run_job(spec: JobSpec) -> dict:
 
     space = (group, spec.base_genus, spec.branch_points, type_filter)
     cls = cache.load(key, "tuples", partial(_classify_cached_rows, *space))
-    index, strings, classes = group.table.index, group.table.strings, group.table.classes
+    index, strings = group.table.index, group.table.strings
     if cls is None:  # tuples become rows as they are read, so no local keeps the tuple list
         cls = classify_space(*space, rows=tuple([tuple(map(index.__getitem__, t.entries)) for t in
                                                  enumerate_tuples(*space, work_cap=spec.caps.work,
@@ -306,9 +306,8 @@ def run_job(spec: JobSpec) -> dict:
 
     census = cls.census
     classes_json = []
-    for c, row in enumerate(cls.canonicals):
+    for c, (row, branch) in enumerate(zip(cls.canonicals, cls.types)):
         report = universal_fiber_report(cls, c)
-        branch = type_key(classes, row[2 * spec.base_genus:])
         classes_json.append(
             {
                 "canonical": [strings[j] for j in row],
@@ -366,9 +365,11 @@ def _partition_from_assignment(cls: SpaceClassification, meta: dict,
     """
     if len(assignment) != len(cls.rows):
         raise ValueError("the assignment does not have one orbit id per tuple")
+    classes, first = cls.group.table.classes, 2 * cls.base_genus
     keys: list[tuple[int, ...]] = []  # per orbit, the type key of its first row
     sizes: list[int] = []
-    for key, orbit_id in zip(cls.type_keys, assignment):
+    for row, orbit_id in zip(cls.rows, assignment):
+        key = type_key(classes, row[first:])
         if orbit_id == len(keys):
             keys.append(key)
             sizes.append(0)

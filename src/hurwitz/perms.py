@@ -246,7 +246,7 @@ class PermGroup:
         if key in self._cache:
             return self._cache[key]  # type: ignore[return-value]
         members = tuple(g for g in self.elements if g[lam] == lam)
-        sub = PermGroup(self.degree, members, members, marked_point=self.marked_point)
+        sub = PermGroup(self.degree, members, members, marked_point=lam)
         self._cache[key] = sub
         return sub
 
@@ -267,9 +267,13 @@ class PermGroup:
             raise DegreeMismatch(f"{format_perm(p)} is not an element of the group") from None
 
     def with_marked_point(self, lam: int) -> "PermGroup":
+        """The same group marked at lam; it shares this group's memo, whose
+        entries that depend on a point name it in their key."""
         if lam == self.marked_point:
             return self
-        return PermGroup(self.degree, self.generators, self.elements, marked_point=lam)
+        moved = PermGroup(self.degree, self.generators, self.elements, marked_point=lam)
+        moved._cache = self._cache
+        return moved
 
     @property
     def table(self) -> "ElementTable":
@@ -469,6 +473,7 @@ def _normalizer_search(G: PermGroup, lam: int | None, *, centralizing: bool = Fa
     and |N| >= |N(root)| * |root^G|, so the order cap is checked on that.
     ``centralizing`` seeds each generator's list with g alone, which leaves the
     centralizer; its members fixing the root lie in N(root), so its cap trips no earlier.
+    The result is marked at the root, so it does not depend on G's marked point.
     """
     key = f"{'centralizer' if centralizing else 'normalizer'}:{lam}"
     if key in G._cache:
@@ -516,7 +521,7 @@ def _normalizer_search(G: PermGroup, lam: int | None, *, centralizing: bool = Fa
                 kept.append(hs)
             else:
                 stack.append((u, kept))
-    G._cache[key] = subgroup_from_elements(d, members, marked_point=G.marked_point)
+    G._cache[key] = subgroup_from_elements(d, members, marked_point=root)
     return G._cache[key]  # type: ignore[return-value]
 
 

@@ -1,5 +1,6 @@
 """Pointed and unpointed classification, fibers, witnesses, relabeling."""
 
+import dataclasses
 import random
 
 import pytest
@@ -135,8 +136,22 @@ def test_rows_of_another_type_raise(s3, twisted):
         assert classify_space(G, g, n, bt, rows=cls.rows) == cls
 
 
+def class_moving_spaces():
+    """Spaces whose N(lam0) permutes the conjugacy classes: A5 g0 n3, also under
+    3*[(1 2 3 4 5)], which N(lam0) = S4 moves to the other class of 5-cycles,
+    and under 3*[(1 2)(3 4)], which is empty (two involutions generate a
+    dihedral group), C9 g0 n3 and the regular C2^3 g0 n5."""
+    a5 = generate_group([parse_perm("(1 2 3 4 5)", 5), parse_perm("(1 2 3)", 5)])
+    c9 = generate_group([parse_perm("(1 2 3 4 5 6 7 8 9)", 9)])
+    five = make_branching_type(a5, [(parse_perm("(1 2 3 4 5)", 5), 3)])
+    involutions = make_branching_type(a5, [(parse_perm("(1 2)(3 4)", 5), 3)])
+    return [(a5, 0, 3, None), (a5, 0, 3, five), (a5, 0, 3, involutions), (c9, 0, 3, None),
+            (regular_c2_cubed(), 0, 5, None)]
+
+
 def test_by_type_rows_partition_classes(matrix, twisted):
-    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted:
+    moving = class_moving_spaces()
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted + moving:
         cls = classify_space(G, g, n, bt)
         rows = cls.census.by_type
         assert sum(r.tuples for r in rows) == cls.census.tuple_count
@@ -150,6 +165,30 @@ def test_by_type_rows_partition_classes(matrix, twisted):
                 counts.setdefault(branching_type_of(t, G), [0, 0, 0])[col] += 1
         assert [(r.branching_type, r.tuples, r.pointed, r.unpointed) for r in rows] == sorted(
             ((key, *c) for key, c in counts.items()), key=lambda row: row[0].entries)
+    # 60 tuples in 5 classes: the filter's type stabilizer is A4, of order 12
+    a5, g, n, five = moving[1]
+    census = classify_space(a5, g, n, five).census
+    assert (census.tuple_count, census.pointed_count, normalizer_fixing_point(a5).order) == (60, 5, 24)
+    assert classify_space(*moving[2]).census.by_type == ()
+    c2_cubed, g, n, _ = moving[4]
+    assert [r.tuples for r in count_space(c2_cubed, g, n).by_type] == [60] * 28
+
+
+class _LengthOnly:
+    """Stands in for the rows of a space where only their number may be read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+def test_census_reads_only_the_number_of_rows(matrix, twisted):
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted + class_moving_spaces():
+        cls = classify_space(G, g, n, bt)
+        blind = dataclasses.replace(cls, rows=_LengthOnly(len(cls.rows)))
+        assert blind.census == cls.census
 
 
 def test_by_type_twisting_rows(c3):

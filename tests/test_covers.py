@@ -35,6 +35,7 @@ from hurwitz import (
     tuple_from_entries,
     universal_fiber_report,
 )
+from hurwitz.classify import _row_action
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def test_universal_report_checks_a_second_member(s3, monkeypatch):
     assert len(calls) == 2 and calls[0] == c.canonical and calls[1] in nu_fiber(c, s3)
 
 
-def test_universal_report_checks_that_the_second_member_generates(s3):
+def test_universal_report_checks_that_the_second_member_generates(s3, monkeypatch):
     # a map that sends each element to the least one of its cycle type keeps
     # every profile, but four copies of one transposition do not generate S3;
     # nor may the canonical row itself fail to generate
@@ -366,7 +367,10 @@ def test_universal_report_checks_that_the_second_member_generates(s3):
     bad = dataclasses.replace(cls, canonicals=(tuple(fake[j] for j in cls.canonicals[k]),))
     with pytest.raises(DisconnectedCover):
         universal_fiber_report(bad, 0)
-    s3._cache[f"fiber_check:{s3.marked_point}"] = [fake]
+    # the second member is read from column 1 of the row action's images
+    action = _row_action(s3, s3.marked_point)
+    monkeypatch.setattr(action, "images", [(col[0], fake[e], *col[2:])
+                                           for e, col in enumerate(action.images)])
     with pytest.raises(InternalInvariantViolation):
         universal_fiber_report(cls, k)
 

@@ -487,3 +487,6 @@ def test_with_marked_point(s3):
     assert G1.marked_point == 2
     assert G1.elements == s3.elements
     assert s3.marked_point == 0
+    # the memo is shared: the table is built once, and N(2) is searched once
+    assert G1.table is s3.table
+    assert normalizer_fixing_point(G1) is normalizer_fixing_point(s3, 2)
