@@ -1,18 +1,21 @@
-"""Content-addressed on-disk cache for enumerations and orbit partitions.
+"""Content-addressed on-disk cache of a job's enumerated rows.
 
-Each entry is one file named ``<key>.<kind>.bin`` holding a small JSON
-header plus a flat integer payload, followed by a SHA-256 digest of
-everything before it.  Corrupt entries (bad magic, bad digest, bad
-header, or data the caller's decoder rejects) are discarded and
-recomputed with a warning rather than trusted.  A missing entry is a
-miss; any other I/O failure is an InputError naming the directory.
+Each entry is one file named ``<key>.bin`` holding a small JSON header
+(the key and the caller's meta) plus a flat integer payload, followed by
+a SHA-256 digest of everything before it.  Corrupt entries (bad magic,
+bad digest, bad header, or data the caller's decoder rejects) are
+discarded and recomputed with a warning rather than trusted.  A missing
+entry is a miss; any other I/O failure is an InputError naming the
+directory.
 
 A store writes a temporary file, syncs it and renames it over the entry,
-so concurrent readers see either the old or the new complete file.
+so concurrent readers see either the old or the new complete file; a
+failed store removes its temporary file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -24,7 +27,7 @@ from pathlib import Path
 
 from .errors import InputError
 
-_MAGIC = b"HWZCACH2"  # version 2: tuples entries hold element indices, not images
+_MAGIC = b"HWZCACH2"  # version 2: rows hold element indices, not images
 
 
 class CacheCorrupt(Warning):
@@ -64,12 +67,11 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
 
-    def _path(self, key: str, kind: str) -> Path:
+    def _path(self, key: str) -> Path:
         assert self.directory is not None
-        return self.directory / f"{key}.{kind}.bin"
+        return self.directory / f"{key}.bin"
 
-    def load(self, key: str, kind: str,
-             decode: Callable[[dict, list[int]], object] | None = None):
+    def load(self, key: str, decode: Callable[[dict, list[int]], object] | None = None):
         """The entry's (meta, data), or ``decode(meta, data)`` if given.
 
         Returns None on a miss.  An entry that fails its digest or header
@@ -79,7 +81,7 @@ class ResultCache:
         """
         if not self.enabled:
             return None
-        path = self._path(key, kind)
+        path = self._path(key)
         try:
             blob = path.read_bytes()
         except FileNotFoundError:
@@ -89,7 +91,7 @@ class ResultCache:
             raise self._unusable(exc) from exc
         try:
             header, data = _decode(blob)
-            if header.get("key") != key or header.get("kind") != kind:
+            if header.get("key") != key:
                 raise ValueError("header does not match the requested entry")
             meta = header.get("meta", {})
             value = (meta, data) if decode is None else decode(meta, data)
@@ -97,20 +99,18 @@ class ResultCache:
             warnings.warn(
                 f"discarding corrupt cache entry {path.name}: {exc}", CacheCorrupt
             )
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(path)
-            except OSError:
-                pass
             self.misses += 1
             return None
         self.hits += 1
         return value
 
-    def store(self, key: str, kind: str, meta: dict, data: list[int]) -> None:
+    def store(self, key: str, meta: dict, data: list[int]) -> None:
         if not self.enabled:
             return
-        path = self._path(key, kind)
-        blob = _encode({"key": key, "kind": kind, "meta": meta}, data)
+        path = self._path(key)
+        blob = _encode({"key": key, "meta": meta}, data)
         tmp = path.with_suffix(".tmp." + str(os.getpid()))
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -120,6 +120,8 @@ class ResultCache:
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
             raise self._unusable(exc) from exc
 
     def _unusable(self, exc: OSError) -> InputError:

@@ -32,14 +32,9 @@ from .errors import (
     SchemaError,
     TypeMultiplicityMismatch,
 )
-from .moves import ComponentPartition, components
+from .moves import components
 from .perms import PermGroup, format_perm, generate_group, identity, parse_perm
-from .tuples import (
-    BranchingType,
-    enumerate_tuples,
-    make_branching_type,
-    type_key,
-)
+from .tuples import BranchingType, enumerate_tuples, make_branching_type
 
 FORMAT_VERSION = 1
 
@@ -237,17 +232,19 @@ def _check_relation_and_generation(table, first: int, rows) -> None:
 def _classify_cached_rows(group: PermGroup, base_genus: int, branch_points: int,
                           type_filter: BranchingType | None,
                           meta: dict, data: list[int]) -> SpaceClassification:
-    """Classify the rows of a cached tuples entry, checking that they could be the space.
+    """Classify the rows of a cached entry, checking that they could be the space.
 
     Raises ValueError unless there are ``meta["count"]`` rows of element
     indices in strictly increasing order, every index lies in the group
     and no branch entry is the identity; unless ``classify_space`` accepts
     the rows, which under a type filter checks every row's branching type
     (if not, each row's relation and generation are checked first, so a
-    defective row names its defect); and unless each pointed class's
-    canonical row satisfies the relation and generates G.  That one row
-    stands for the class: every listed member is an N(lam0)-conjugate of
-    it, and conjugation by an element normalizing G keeps both properties.
+    defective row names its defect); and unless the first canonical row of
+    each unpointed class satisfies the relation and generates G.  That one
+    row x stands for the class: ``classify_space`` has verified every
+    listed row of it to be (n r) x (n r)^-1 with n r in N(lam0) T =
+    N_Sym(G), and conjugation by an element normalizing G is an
+    automorphism of G, so it keeps both properties.
     """
     width, first = 2 * base_genus + branch_points, 2 * base_genus
     if len(data) % width != 0:
@@ -267,7 +264,8 @@ def _classify_cached_rows(group: PermGroup, base_genus: int, branch_points: int,
     except InternalInvariantViolation as exc:
         _check_relation_and_generation(table, first, rows)
         raise ValueError(f"the rows do not classify: {exc}") from None
-    _check_relation_and_generation(table, first, cls.canonicals)
+    _check_relation_and_generation(table, first, map(cls.canonicals.__getitem__,
+                                                     cls.unpointed_first))
     return cls
 
 
@@ -284,25 +282,19 @@ def run_job(spec: JobSpec) -> dict:
     stats: dict = {}
 
     space = (group, spec.base_genus, spec.branch_points, type_filter)
-    cls = cache.load(key, "tuples", partial(_classify_cached_rows, *space))
+    cls = cache.load(key, partial(_classify_cached_rows, *space))
     index, strings = group.table.index, group.table.strings
     if cls is None:  # tuples become rows as they are read, so no local keeps the tuple list
         cls = classify_space(*space, rows=tuple([tuple(map(index.__getitem__, t.entries)) for t in
                                                  enumerate_tuples(*space, work_cap=spec.caps.work,
                                                                   stats=stats)]))
-        cache.store(key, "tuples", {"count": len(cls.rows)}, list(chain.from_iterable(cls.rows)))
+        cache.store(key, {"count": len(cls.rows)}, list(chain.from_iterable(cls.rows)))
 
-    compute_components = partial(components, cls, orbit_cap=spec.caps.orbit)
-    part_tuples = cache.load(key, "components", partial(_partition_from_assignment, cls))
-    if part_tuples is None:
-        part_tuples = compute_components(level="tuples")
-        cache.store(key, "components", {"orbits": len(part_tuples.orbit_sizes)},
-                    list(part_tuples.orbit_of))
-    parts = {
-        "tuples": part_tuples,
-        "pointed": compute_components(level="pointed", tuple_partition=part_tuples),
-        "unpointed": compute_components(level="unpointed", tuple_partition=part_tuples),
-    }
+    # the move orbits are always recomputed: no check of a stored partition
+    # costs less than the move search that finds it
+    tuples = components(cls, level="tuples", orbit_cap=spec.caps.orbit)
+    pointed, unpointed = (components(cls, level=level, tuple_partition=tuples)
+                          for level in ("pointed", "unpointed"))
 
     census = cls.census
     classes_json = []
@@ -336,10 +328,10 @@ def run_job(spec: JobSpec) -> dict:
             ],
         },
         "components": {
-            "exact": parts["tuples"].exact,
-            "orbit_sizes": list(parts["tuples"].orbit_sizes),
-            "orbit_sizes_pointed": list(parts["pointed"].orbit_sizes),
-            "orbit_sizes_unpointed": list(parts["unpointed"].orbit_sizes),
+            "exact": tuples.exact,
+            "orbit_sizes": list(tuples.orbit_sizes),
+            "orbit_sizes_pointed": list(pointed.orbit_sizes),
+            "orbit_sizes_unpointed": list(unpointed.orbit_sizes),
         },
         "classes": classes_json,
         "meta": {
@@ -352,40 +344,6 @@ def run_job(spec: JobSpec) -> dict:
         },
     }
     return doc
-
-
-def _partition_from_assignment(cls: SpaceClassification, meta: dict,
-                               assignment: list[int]) -> ComponentPartition:
-    """Rebuild the tuple-level partition from a cached assignment array.
-
-    Raises ValueError unless there is one orbit id per row, the ids
-    first appear in the order 0, 1, 2, ..., there are ``meta["orbits"]``
-    of them, no orbit holds rows of two branching types (moves keep the
-    type) and the orbits' class images, derived here, do not overlap.
-    """
-    if len(assignment) != len(cls.rows):
-        raise ValueError("the assignment does not have one orbit id per tuple")
-    classes, first = cls.group.table.classes, 2 * cls.base_genus
-    keys: list[tuple[int, ...]] = []  # per orbit, the type key of its first row
-    sizes: list[int] = []
-    for row, orbit_id in zip(cls.rows, assignment):
-        key = type_key(classes, row[first:])
-        if orbit_id == len(keys):
-            keys.append(key)
-            sizes.append(0)
-        elif not 0 <= orbit_id < len(keys):
-            raise ValueError("orbit ids do not first appear in the order 0, 1, 2, ...")
-        elif keys[orbit_id] != key:
-            raise ValueError("an orbit holds rows of two branching types")
-        sizes[orbit_id] += 1
-    if len(keys) != meta.get("orbits"):
-        raise ValueError(f"{len(keys)} orbits, header says {meta.get('orbits')}")
-    part = ComponentPartition("tuples", cls.base_genus == 0, tuple(sizes), tuple(assignment), cls)
-    try:
-        part.quotients  # the class-level partitions, memoized for run_job
-    except InternalInvariantViolation as exc:
-        raise ValueError(str(exc)) from None
-    return part
 
 
 def report_to_json(doc: dict) -> str:

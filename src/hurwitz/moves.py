@@ -13,6 +13,12 @@ genus >= 1 no tuple-level action of the full mapping class group is
 implemented and the partition is only a refinement (the component count
 is an upper bound).  Results carry an ``exact`` flag accordingly.
 
+The searches apply only the forward moves.  Each move permutes the
+finite set of tuples of one group, so its inverse is one of its powers:
+the forward closure of a tuple is its orbit, and an inverse move is a
+forward move read backwards, so a search in both directions walks the
+same edges.
+
 Moves touch only branch slots, so in every genus they commute with
 conjugation by N(lam0), and ``components`` searches the pointed classes
 of one ``SpaceClassification``.
@@ -47,6 +53,8 @@ def hurwitz_move(t: HurwitzTuple, i: int, *, inverse_move: bool = False,
     The mirrored convention swaps the roles of the two standard twists;
     both conventions generate identical orbit closures.
     """
+    if convention not in ("standard", "mirrored"):
+        raise ValueError(f"unknown convention {convention!r}")
     n = t.branch_count
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"move index {i} outside 1..{n - 1}")
@@ -65,9 +73,10 @@ def hurwitz_move(t: HurwitzTuple, i: int, *, inverse_move: bool = False,
 def braid_orbit(t: HurwitzTuple, *, orbit_cap: int = DEFAULT_ORBIT_CAP) -> tuple[HurwitzTuple, ...]:
     """Closure of one tuple under all elementary moves, both directions.
 
-    A BFS on index rows of the group the entries generate, which moves
-    never leave, so either convention gives it.  At most ``orbit_cap``
-    tuples, the seed included; sorted in the global total order.
+    A BFS by forward moves on index rows of the group the entries
+    generate, which moves never leave, so either convention gives it.
+    At most ``orbit_cap`` tuples, the seed included; sorted in the global
+    total order.
     """
     table = generate_group(t.entries).table
     seed = tuple(map(table.index.__getitem__, t.entries))
@@ -128,13 +137,11 @@ class ComponentPartition:
 
 
 def _moved(table: ElementTable, row: tuple[int, ...], first: int):
-    """The rows one move, either way, from an index row with branch slots from ``first``."""
+    """The rows one forward move from an index row with branch slots from ``first``."""
     mul, inv = table.mul, table.inverses
     for k in range(first, len(row) - 1):
-        a, b = row[k], row[k + 1]
-        # (a, b) -> (a b a^-1, a) and (b, b^-1 a b)
-        yield row[:k] + (mul(mul(a, b), inv[a]), a) + row[k + 2:]
-        yield row[:k] + (b, mul(mul(inv[b], a), b)) + row[k + 2:]
+        a = row[k]  # (a, b) -> (a b a^-1, a)
+        yield row[:k] + (mul(mul(a, row[k + 1]), inv[a]), a) + row[k + 2:]
 
 
 def _class_orbits(orbit_of, class_of, count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

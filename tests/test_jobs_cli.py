@@ -38,6 +38,7 @@ from hurwitz.cache import _encode
 import hurwitz
 import hurwitz.classify as classify
 import hurwitz.jobs as jobs
+import hurwitz.moves as moves
 import hurwitz.perms as perms
 from hurwitz.jobs import build_group
 from hurwitz.cli import main
@@ -216,9 +217,9 @@ def test_report_to_json_is_stable():
 def test_cache_round_trip(tmp_path):
     s = dataclasses.replace(parse_job(json.dumps(GOOD)), cache_dir=str(tmp_path))
     first = run_job(s)
-    assert first["meta"]["cache"] == {"hits": 0, "misses": 2}
+    assert first["meta"]["cache"] == {"hits": 0, "misses": 1}
     second = run_job(s)
-    assert second["meta"]["cache"] == {"hits": 2, "misses": 0}
+    assert second["meta"]["cache"] == {"hits": 1, "misses": 0}
     assert comparison_payload(first) == comparison_payload(second)
     # enumeration counters exist only on a cold run; S3 g0 n4 has 5^3 leaves
     assert first["meta"]["leaves"] == 125 and first["meta"]["join_memo"] > 0
@@ -236,7 +237,7 @@ def test_cache_disabled(tmp_path):
 def test_cache_corruption_recovers(tmp_path):
     s = dataclasses.replace(parse_job(json.dumps(GOOD)), cache_dir=str(tmp_path))
     first = run_job(s)
-    victim = next(p for p in tmp_path.iterdir() if p.name.endswith(".tuples.bin"))
+    (victim,) = tmp_path.iterdir()
     victim.write_bytes(victim.read_bytes()[:40])
     with pytest.warns(CacheCorrupt):
         second = run_job(s)
@@ -257,40 +258,81 @@ def test_cache_rejects_foreign_key(tmp_path):
 
 def test_result_cache_low_level(tmp_path):
     cache = ResultCache(str(tmp_path), enabled=True)
-    cache.store("k1", "tuples", {"rows": 2}, [1, 2, 3, 4])
-    meta, data = cache.load("k1", "tuples")
+    cache.store("k1", {"rows": 2}, [1, 2, 3, 4])
+    meta, data = cache.load("k1")
     assert meta["rows"] == 2
     assert list(data) == [1, 2, 3, 4]
-    assert cache.load("nope", "tuples") is None
-    assert [p.name for p in tmp_path.iterdir()] == ["k1.tuples.bin"]
+    assert cache.load("nope") is None
+    assert [p.name for p in tmp_path.iterdir()] == ["k1.bin"]
 
 
 def test_result_cache_unusable_directory(tmp_path):
     (tmp_path / "afile").write_text("")
     cache = ResultCache(str(tmp_path / "afile" / "sub"))
     with pytest.raises(InputError, match="cannot use cache directory"):
-        cache.load("k1", "tuples")
+        cache.load("k1")
     with pytest.raises(InputError, match="cannot use cache directory"):
-        cache.store("k1", "tuples", {}, [1])
-    assert ResultCache(str(tmp_path)).load("k1", "tuples") is None
+        cache.store("k1", {}, [1])
+    assert ResultCache(str(tmp_path)).load("k1") is None
+
+
+def test_result_cache_failed_store_leaves_no_temporary_file(tmp_path):
+    # a directory at the entry's path makes the rename fail
+    (tmp_path / "k1.bin").mkdir()
+    with pytest.raises(InputError, match="cannot use cache directory"):
+        ResultCache(str(tmp_path)).store("k1", {}, [1])
+    assert [p.name for p in tmp_path.iterdir()] == ["k1.bin"]
 
 
 def test_cache_rejects_non_object_header(tmp_path):
-    path = tmp_path / "k1.tuples.bin"
-    path.write_bytes(_encode(["k1", "tuples"], [1, 2]))
+    path = tmp_path / "k1.bin"
+    path.write_bytes(_encode(["k1"], [1, 2]))
     cache = ResultCache(str(tmp_path))
     with pytest.warns(CacheCorrupt, match="not an object"):
-        assert cache.load("k1", "tuples") is None
+        assert cache.load("k1") is None
     assert cache.misses == 1 and not path.exists()
 
 
 def test_cache_leaves_only_entries(tmp_path):
+    # one entry per job: the rows; the move orbits are recomputed
     s = dataclasses.replace(parse_job(json.dumps(GOOD)), cache_dir=str(tmp_path))
     run_job(s)
     run_job(s)
-    assert sorted(p.name.split(".", 1)[1] for p in tmp_path.iterdir()) == [
-        "components.bin", "tuples.bin",
-    ]
+    assert [p.name for p in tmp_path.iterdir()] == [f"{cache_key(s)}.bin"]
+
+
+def test_warm_run_recomputes_the_partition(tmp_path, monkeypatch):
+    # S4 g0 n4 has 11 tuple orbits, one pair of them of one branching type.
+    # A partition entry with that pair merged, in the format earlier
+    # versions stored and trusted, gave 10 orbits; it is never read now
+    s = dataclasses.replace(parse_job({
+        "format_version": 1, "degree": 4, "generators": ["(1 2)", "(1 2 3 4)"],
+        "base_genus": 0, "branch_points": 4}), cache_dir=str(tmp_path))
+    key, part = cache_key(s), moves.components(hurwitz.classify_space(build_group(s)[0], 0, 4))
+    classes = part.classification.group.table.classes
+    types = {}
+    for row, orbit in zip(part.classification.rows, part.orbit_of):
+        types.setdefault(orbit, sorted(classes[j] for j in row))
+    a, b = next((a, b) for a in types for b in types if a < b and types[a] == types[b])
+    number = {}
+    merged = [number.setdefault(a if orbit == b else orbit, len(number))
+              for orbit in part.orbit_of]
+    calls = []
+    tuple_partition = moves._tuple_partition
+
+    def counting(*args):
+        calls.append(1)
+        return tuple_partition(*args)
+
+    monkeypatch.setattr(moves, "_tuple_partition", counting)
+    cold = run_job(s)
+    assert len(calls) == 1 and len(cold["components"]["orbit_sizes"]) == 11
+    header = {"key": key, "kind": "components", "meta": {"orbits": 10}}
+    (tmp_path / f"{key}.components.bin").write_bytes(_encode(header, merged))
+    warm = run_job(s)
+    assert len(calls) == 2 and warm["meta"]["cache"] == {"hits": 1, "misses": 0}
+    assert comparison_payload(warm) == comparison_payload(cold)
+    assert len(warm["components"]["orbit_sizes"]) == 11
 
 
 # element indices of (1 2), (1 3), (1 2 3), (1 3 2) and the identity
@@ -313,90 +355,57 @@ def _merged(data, extra):
 
 
 # (C, C, C^-1, C^-1) and its conjugate by (2 3) keep the relation but
-# generate only A3: one pointed class that classifies and fails its check
+# generate only A3: one pointed class, and so one unpointed class, that
+# classifies and fails its check
 _A3_CLASS = _C + _C + _CI + _CI + _CI + _CI + _C + _C
 BAD_ENTRIES = {
-    "row count": ("tuples", "header says",
+    "row count": ("header says",
                   lambda meta, data: ({"count": meta["count"] + 1}, data)),
-    "row order": ("tuples", "strictly increasing",
+    "row order": ("strictly increasing",
                   lambda meta, data: (meta, data[4:8] + data[:4] + data[8:])),
-    "outside group": ("tuples", "outside the group",
+    "outside group": ("outside the group",
                       lambda meta, data: ({"count": 1}, _A + _A + _A + [6])),
-    "negative index": ("tuples", "outside the group",
+    "negative index": ("outside the group",
                        lambda meta, data: ({"count": 1}, [-1] + _A + _A + _A)),
-    "identity branch": ("tuples", "identity",
+    "identity branch": ("identity",
                         lambda meta, data: ({"count": 1}, _A + _A + _E + _E)),
-    "relation": ("tuples", "relation",
+    "relation": ("relation",
                  lambda meta, data: ({"count": 1}, _A + _A + _A + _B)),
-    "not generating": ("tuples", "does not generate",
+    "not generating": ("does not generate",
                        lambda meta, data: ({"count": 1}, _A * 4)),
-    "orbit count": ("components", "header says",
-                    lambda meta, data: ({"orbits": meta["orbits"] + 1}, data)),
-    "orbit order": ("components", "first appear",
-                    lambda meta, data: (meta, [1 - k for k in data])),
-    "meta not an object": ("tuples", "not an object",
+    "meta not an object": ("not an object",
                            lambda meta, data: ([meta["count"]], data)),
     # classification fails; the rows themselves are valid
-    "partial space": ("tuples", "type-stabilizer",
+    "partial space": ("type-stabilizer",
                       lambda meta, data: ({"count": 1}, data[:4])),
-    "missing conjugates": ("tuples", "not listed",
+    "missing conjugates": ("not listed",
                            lambda meta, data: ({"count": 2}, _conjugates(
                                data[:4], normalizer_fixing_point))),
-    # classification passes; the check once per pointed class fails
-    "class not generating": ("tuples", "does not generate",
+    # classification passes; the check once per unpointed class, on its
+    # first canonical row, fails ("class relation": 3 pointed classes, 1 unpointed)
+    "class not generating": ("does not generate",
                              lambda meta, data: ({"count": 2}, _A3_CLASS)),
-    "class not generating among valid": ("tuples", "does not generate",
+    "class not generating among valid": ("does not generate",
                                          lambda meta, data: _merged(data, _A3_CLASS)),
-    "class relation": ("tuples", "relation",
+    "class relation": ("relation",
                        lambda meta, data: ({"count": 6}, _conjugates(
                            _A + _A + _A + _B, lambda group: group))),
-    # moves keep the branching type; GOOD's two types are its two orbits
-    "one orbit of two types": ("components", "two branching types",
-                               lambda meta, data: ({"orbits": 1}, [0] * len(data))),
-    "alternating orbits": ("components", "two branching types",
-                           lambda meta, data: ({"orbits": 2},
-                                               [k % 2 for k in range(len(data))])),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(BAD_ENTRIES))
 def test_cache_rejects_digest_valid_bad_entry(tmp_path, defect):
-    kind, reason, spoil = BAD_ENTRIES[defect]
+    reason, spoil = BAD_ENTRIES[defect]
     s = dataclasses.replace(parse_job(json.dumps(GOOD)), cache_dir=str(tmp_path))
     first = run_job(s)
     cache = ResultCache(str(tmp_path))
     key = cache_key(s)
-    cache.store(key, kind, *spoil(*cache.load(key, kind)))
+    cache.store(key, *spoil(*cache.load(key)))
     with pytest.warns(CacheCorrupt, match=reason):
         second = run_job(s)
     assert second["meta"]["cache"]["misses"] >= 1
     assert comparison_payload(first) == comparison_payload(second)
-    assert run_job(s)["meta"]["cache"] == {"hits": 2, "misses": 0}
-
-
-def test_cache_rejects_a_same_type_merge_on_genus_one(tmp_path):
-    # S3 g1 n4: merging two move orbits of one type keeps every per-row
-    # check, but their class images overlap those of the other orbits
-    s = dataclasses.replace(parse_job(json.dumps(spec_of({"base_genus": 1}))),
-                            cache_dir=str(tmp_path))
-    cold = run_job(s)
-    cache = ResultCache(str(tmp_path))
-    key = cache_key(s)
-    meta, data = cache.load(key, "components")
-    rows = cache.load(key, "tuples")[1]
-    classes = build_group(s)[0].table.classes
-    keys = {}
-    for k, orbit in enumerate(data):
-        keys.setdefault(orbit, tuple(sorted(classes[j] for j in rows[6 * k + 2:6 * k + 6])))
-    a, b = next((a, b) for a in keys for b in keys if a < b and keys[a] == keys[b])
-    merged = [a if orbit == b else orbit for orbit in data]
-    number = {}
-    merged = [number.setdefault(orbit, len(number)) for orbit in merged]
-    cache.store(key, "components", {"orbits": meta["orbits"] - 1}, merged)
-    with pytest.warns(CacheCorrupt, match="overlap"):
-        warm = run_job(s)
-    assert warm["meta"]["cache"] == {"hits": 1, "misses": 1}
-    assert comparison_payload(cold) == comparison_payload(warm)
+    assert run_job(s)["meta"]["cache"] == {"hits": 1, "misses": 0}
 
 
 @pytest.mark.parametrize("overrides", [{}, {"base_genus": 1, "branch_points": 2}])
@@ -411,7 +420,7 @@ def test_run_job_hashes_no_tuple(tmp_path, monkeypatch, overrides):
 
     monkeypatch.setattr(HurwitzTuple, "__hash__", refuse)
     cold, warm = run_job(s), run_job(s)
-    assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
+    assert warm["meta"]["cache"] == {"hits": 1, "misses": 0}
     assert comparison_payload(cold) == comparison_payload(warm) == expected
 
 
@@ -436,8 +445,8 @@ def test_run_job_never_builds_the_full_normalizer(tmp_path, monkeypatch, doc):
         monkeypatch.setattr(module, "normalizer_in_sym", refuse)
     monkeypatch.setattr(perms, "_normalizer_search", fixed_only)
     cold, warm = run_job(s), run_job(s)
-    assert cold["meta"]["cache"] == {"hits": 0, "misses": 2}
-    assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
+    assert cold["meta"]["cache"] == {"hits": 0, "misses": 1}
+    assert warm["meta"]["cache"] == {"hits": 1, "misses": 0}
     assert comparison_payload(cold) == comparison_payload(warm) == expected
 
 
@@ -470,7 +479,7 @@ def test_warm_run_builds_no_tuple(tmp_path, monkeypatch, overrides):
     cold = run_job(s)
     built = _count_tuples_built(monkeypatch)
     warm = run_job(s)
-    assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
+    assert warm["meta"]["cache"] == {"hits": 1, "misses": 0}
     assert built == [] and warm["census"]["pointed"] > 0
     assert comparison_payload(cold) == comparison_payload(warm)
 
@@ -481,7 +490,7 @@ def test_cold_run_builds_only_the_enumerated_tuples(tmp_path, monkeypatch, overr
     s = dataclasses.replace(parse_job(json.dumps(spec_of(overrides))), cache_dir=str(tmp_path))
     built = _count_tuples_built(monkeypatch)
     cold = run_job(s)
-    assert cold["meta"]["cache"] == {"hits": 0, "misses": 2}
+    assert cold["meta"]["cache"] == {"hits": 0, "misses": 1}
     assert built == [True] * cold["census"]["tuples"] and cold["census"]["pointed"] > 0
 
 
@@ -507,7 +516,7 @@ def test_cold_run_drops_the_enumerated_tuples_before_the_reports(tmp_path, monke
     doc = {"format_version": 1, "degree": 5, "generators": ["(1 2 3 4 5)", "(1 2 3)"],
            "base_genus": 0, "branch_points": 3}
     out = run_job(dataclasses.replace(parse_job(doc), cache_dir=str(tmp_path)))
-    assert out["meta"]["cache"]["misses"] == 2
+    assert out["meta"]["cache"]["misses"] == 1
     assert len(refs) == out["census"]["tuples"] == 2280 and alive == [0]
 
 
@@ -521,7 +530,7 @@ def test_warm_equals_cold_under_twisted_types(tmp_path, twisted):
                "branching_type": [[format_perm(rep), m] for rep, m in bt.entries]}
         s = dataclasses.replace(parse_job(doc), cache_dir=str(tmp_path / str(k)))
         cold, warm = run_job(s), run_job(s)
-        assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
+        assert warm["meta"]["cache"] == {"hits": 1, "misses": 0}
         assert comparison_payload(cold) == comparison_payload(warm)
 
 
@@ -532,10 +541,10 @@ def test_cache_relation_check_covers_the_handles(tmp_path):
                             cache_dir=str(tmp_path))
     first = run_job(s)
     warm = run_job(s)
-    assert warm["meta"]["cache"] == {"hits": 2, "misses": 0}
+    assert warm["meta"]["cache"] == {"hits": 1, "misses": 0}
     assert comparison_payload(first) == comparison_payload(warm)
     cache = ResultCache(str(tmp_path))
-    cache.store(cache_key(s), "tuples", {"count": 1}, _A + _B + _A + _A)
+    cache.store(cache_key(s), {"count": 1}, _A + _B + _A + _A)
     with pytest.warns(CacheCorrupt, match="relation"):
         again = run_job(s)
     assert comparison_payload(first) == comparison_payload(again)
@@ -550,11 +559,11 @@ def test_cache_recomputes_a_first_format_entry(tmp_path):
                       sort_keys=True, separators=(",", ":")).encode()
     images = array("q", [x for t in ts for e in t.entries for x in e]).tobytes()
     body = b"HWZCACH1" + struct.pack(">I", len(head)) + head + images
-    path = tmp_path / f"{key}.tuples.bin"
+    path = tmp_path / f"{key}.bin"
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.warns(CacheCorrupt, match="bad magic"):
         doc = run_job(s)
-    assert doc["meta"]["cache"] == {"hits": 0, "misses": 2}
+    assert doc["meta"]["cache"] == {"hits": 0, "misses": 1}
     assert doc["census"]["tuples"] == len(ts) == 96
     assert path.read_bytes().startswith(b"HWZCACH2")
     assert comparison_payload(doc) == comparison_payload(run_job(s))
@@ -570,7 +579,7 @@ def test_cache_rejects_rows_of_another_type(tmp_path):
     )
     run_job(full)
     cache = ResultCache(str(tmp_path))
-    cache.store(cache_key(filtered), "tuples", *cache.load(cache_key(full), "tuples"))
+    cache.store(cache_key(filtered), *cache.load(cache_key(full)))
     with pytest.warns(CacheCorrupt, match="branching type"):
         doc = run_job(filtered)
     assert (doc["census"]["tuples"], doc["census"]["pointed"]) == (24, 12)

@@ -106,6 +106,13 @@ def test_mirrored_moves_are_inverse_of_standard(s3):
         )
 
 
+def test_move_convention_checked(s3):
+    # an unknown convention is refused, not read as the standard one
+    t = enumerate_tuples(s3, 0, 4)[0]
+    with pytest.raises(ValueError, match="unknown convention 'bogus'"):
+        hurwitz_move(t, 1, convention="bogus")
+
+
 # ---------------------------------------------------------------------------
 # orbits
 
@@ -389,7 +396,7 @@ def test_components_orbit_cap_is_exact_on_split_orbits(a5):
 
 
 def test_components_moves_the_pointed_classes_only(a5, monkeypatch):
-    # each pointed class is moved once: 2 (n - 1) moves of two products
+    # each pointed class is moved once: n - 1 forward moves of two products
     # each, where a search over rows would move every one of |N(lam0)| rows
     cls = classify_space(a5, 0, 3)
     expected = components(cls)
@@ -402,4 +409,4 @@ def test_components_moves_the_pointed_classes_only(a5, monkeypatch):
 
     monkeypatch.setattr(a5.table, "mul", counting)
     assert components(cls) == expected
-    assert len(calls) <= 4 * (3 - 1) * len(cls.pointed) < len(cls.rows)
+    assert len(calls) <= 2 * (3 - 1) * len(cls.pointed) < len(cls.rows)
