@@ -10,7 +10,8 @@ directory.
 
 A store writes a temporary file, syncs it and renames it over the entry,
 so concurrent readers see either the old or the new complete file; a
-failed store removes its temporary file.
+failed store removes its temporary file.  A store also removes the key's
+files of the earlier two-file layout, if any.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ class ResultCache:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
+            for old in (f"{key}.tuples.bin", f"{key}.components.bin"):  # the earlier layout
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(path.parent / old)
         except OSError as exc:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)

@@ -274,6 +274,12 @@ def run_job(spec: JobSpec) -> dict:
 
     The census, components and classes sections are always all computed;
     the subcommand only selects how the caller consumes the document.
+    The fiber report is computed once per unpointed class, from its first
+    pointed class, and reused for each of its pointed classes: they are
+    conjugates by N(lam0) T = N_Sym(G), which keeps generation and each
+    branch entry's cycle type.  Each pointed class's canonical is checked
+    to have the report's profiles, so a wrong unpointed merge raises
+    InternalInvariantViolation.
     """
     t_start = time.perf_counter()
     group, type_filter = build_group(spec)
@@ -297,13 +303,20 @@ def run_job(spec: JobSpec) -> dict:
                           for level in ("pointed", "unpointed"))
 
     census = cls.census
+    reports = [universal_fiber_report(cls, c) for c in cls.unpointed_first]
+    cycle_types, first = group.table.cycle_types, 2 * spec.base_genus
+    type_pairs = {key: [(strings[k], key.count(k)) for k in sorted(set(key))]
+                  for key in set(cls.types)}
     classes_json = []
     for c, (row, branch) in enumerate(zip(cls.canonicals, cls.types)):
-        report = universal_fiber_report(cls, c)
+        report = reports[cls.unpointed_of[c]]
+        if tuple(map(cycle_types.__getitem__, row[first:])) != report.profiles:
+            raise InternalInvariantViolation(
+                f"pointed class {c} and its unpointed class differ in branch cycle types")
         classes_json.append(
             {
                 "canonical": [strings[j] for j in row],
-                "type": [[strings[k], branch.count(k)] for k in sorted(set(branch))],
+                "type": [list(p) for p in type_pairs[branch]],
                 "profiles": [list(p) for p in report.profiles],
                 "genus_induced": report.genus,
                 "genus_galois": report.galois_genus,

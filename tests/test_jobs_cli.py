@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import struct
 import subprocess
@@ -25,7 +26,9 @@ from hurwitz import (
     TypeMultiplicityMismatch,
     WorkCapExceeded,
     cache_key,
+    classify_space,
     comparison_payload,
+    cover_report,
     enumerate_tuples,
     format_perm,
     normalizer_fixing_point,
@@ -33,6 +36,7 @@ from hurwitz import (
     parse_perm,
     report_to_json,
     run_job,
+    universal_fiber_report,
 )
 from hurwitz.cache import _encode
 import hurwitz
@@ -301,6 +305,17 @@ def test_cache_leaves_only_entries(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [f"{cache_key(s)}.bin"]
 
 
+def test_cache_store_removes_the_two_file_layout(tmp_path):
+    # the earlier layout kept <key>.tuples.bin and <key>.components.bin;
+    # storing the key's one entry removes them and no file of another key
+    s = dataclasses.replace(parse_job(json.dumps(GOOD)), cache_dir=str(tmp_path))
+    key, other = cache_key(s), "0" * 64
+    for name in (f"{key}.tuples.bin", f"{key}.components.bin", f"{other}.tuples.bin"):
+        (tmp_path / name).write_bytes(b"old")
+    assert run_job(s)["meta"]["cache"] == {"hits": 0, "misses": 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{other}.tuples.bin", f"{key}.bin"]
+
+
 def test_warm_run_recomputes_the_partition(tmp_path, monkeypatch):
     # S4 g0 n4 has 11 tuple orbits, one pair of them of one branching type.
     # A partition entry with that pair merged, in the format earlier
@@ -520,15 +535,78 @@ def test_cold_run_drops_the_enumerated_tuples_before_the_reports(tmp_path, monke
     assert len(refs) == out["census"]["tuples"] == 2280 and alive == [0]
 
 
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
+
+
+def _job_doc(G, g, n, bt=None):
+    doc = {"format_version": 1, "degree": G.degree,
+           "generators": [format_perm(p) for p in G.generators],
+           "base_genus": g, "branch_points": n}
+    if bt is not None:
+        doc["branching_type"] = [[format_perm(rep), m] for rep, m in bt.entries]
+    return doc
+
+
+def test_class_entries_equal_their_own_reports(matrix, twisted):
+    # an entry carries its unpointed class's report; it must equal the pointed
+    # class's own report and that of its canonical tuple, in fresh lists
+    docs = [_job_doc(G, g, n) for G, g, n in matrix] + [_job_doc(*case) for case in twisted]
+    docs += [json.loads((JOBS / name).read_text()) for name in
+             ("s3_transpositions.json", "v4_regular.json", "c5_g1_n2_twisted.json")]
+    for doc in docs:
+        spec = parse_job(doc)
+        G, bt = build_group(spec)
+        cls = classify_space(G, spec.base_genus, spec.branch_points, bt)
+        entries = run_job(spec)["classes"]
+        assert len(entries) == len(cls.canonicals)
+        for c, entry in enumerate(entries):
+            t = HurwitzTuple(tuple(parse_perm(s, G.degree) for s in entry["canonical"]),
+                             spec.base_genus)
+            got = (tuple(map(tuple, entry["profiles"])), entry["genus_induced"],
+                   entry["genus_galois"])
+            for report in (universal_fiber_report(cls, c), cover_report(t, G)):
+                assert got == (report.profiles, report.genus, report.galois_genus), (doc, c)
+        lists = [x for e in entries for x in (e["canonical"], e["type"], *e["type"],
+                                              e["profiles"], *e["profiles"])]
+        assert len(set(map(id, lists))) == len(lists)
+
+
+@pytest.mark.parametrize("workload, unpointed", [
+    ({"degree": 3, "generators": ["(1 2)", "(1 2 3)"], "base_genus": 1, "branch_points": 4}, 616),
+    ({"degree": 5, "generators": ["(1 2 3 4 5)", "(1 2 3)"], "base_genus": 0, "branch_points": 3},
+     19),
+])
+def test_one_fiber_report_per_unpointed_class(tmp_path, monkeypatch, workload, unpointed):
+    calls, report = [], jobs.universal_fiber_report
+    monkeypatch.setattr(jobs, "universal_fiber_report",
+                        lambda cls, c: calls.append(c) or report(cls, c))
+    s = dataclasses.replace(parse_job({"format_version": 1, **workload}), cache_dir=str(tmp_path))
+    for hits in (0, 1):
+        calls.clear()
+        out = run_job(s)
+        assert out["meta"]["cache"]["hits"] == hits
+        assert len(calls) == out["census"]["unpointed"] == unpointed
+
+
+def _merge_two_profiles(cls):
+    """``cls`` with two unpointed classes merged whose first canonicals have
+    one multiset of branch cycle types, so one move orbit on S3 g0 n4, but
+    not the same cycle types in slot order."""
+    cycle_types, first = cls.group.table.cycle_types, 2 * cls.base_genus
+    profile = [tuple(cycle_types[j] for j in cls.canonicals[c][first:])
+               for c in cls.unpointed_first]
+    u1, u2 = next((a, b) for a, b in itertools.combinations(range(len(profile)), 2)
+                  if profile[a] != profile[b] and sorted(profile[a]) == sorted(profile[b]))
+    return dataclasses.replace(
+        cls, unpointed_of=tuple(u1 if u == u2 else u - (u > u2) for u in cls.unpointed_of),
+        unpointed_first=cls.unpointed_first[:u2] + cls.unpointed_first[u2 + 1:])
+
+
 def test_warm_equals_cold_under_twisted_types(tmp_path, twisted):
     # a twisted type filter can put a class canonical outside the cached
     # rows; its check still stands for the listed conjugates
-    for k, (G, g, n, bt) in enumerate(twisted):
-        doc = {"format_version": 1, "degree": G.degree,
-               "generators": [format_perm(p) for p in G.generators],
-               "base_genus": g, "branch_points": n,
-               "branching_type": [[format_perm(rep), m] for rep, m in bt.entries]}
-        s = dataclasses.replace(parse_job(doc), cache_dir=str(tmp_path / str(k)))
+    for k, case in enumerate(twisted):
+        s = dataclasses.replace(parse_job(_job_doc(*case)), cache_dir=str(tmp_path / str(k)))
         cold, warm = run_job(s), run_job(s)
         assert warm["meta"]["cache"] == {"hits": 1, "misses": 0}
         assert comparison_payload(cold) == comparison_payload(warm)
@@ -668,6 +746,18 @@ def test_cli_validate_exit_code_internal(runner, job_file, monkeypatch):
     res = runner.invoke(main, ["validate", job_file])
     assert res.exit_code == 4
     assert "error: broken" in res.output
+
+
+def test_a_merge_of_two_profiles_raises(runner, job_file, monkeypatch):
+    # each pointed class is checked against its unpointed class's report
+    honest = jobs.classify_space
+    monkeypatch.setattr(jobs, "classify_space",
+                        lambda *args, **kwargs: _merge_two_profiles(honest(*args, **kwargs)))
+    with pytest.raises(InternalInvariantViolation, match="branch cycle types"):
+        run_job(parse_job(json.dumps(GOOD)))
+    res = runner.invoke(main, ["fibers", job_file, "--no-cache"])
+    assert res.exit_code == 4
+    assert "branch cycle types" in res.output
 
 
 def test_cli_components_and_fibers(runner, job_file):
