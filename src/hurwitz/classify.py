@@ -43,6 +43,7 @@ from .tuples import (
     BranchingType,
     HurwitzTuple,
     enumerate_tuples,
+    pop_rows,
     type_key,
 )
 
@@ -329,7 +330,7 @@ def classify_space(
 
     ``rows`` short-circuits the enumeration, which ``work_cap`` bounds: the
     tuples as rows of ``G.table`` element indices (the cache decoder passes
-    its rows); without it each enumerated tuple is mapped to its row as read.
+    its rows); without it each enumerated tuple is freed as its row is made.
     Like the output of ``enumerate_tuples`` the rows must be sorted and
     hold every conjugate of a listed tuple by G; their relation and
     generation are not checked here.  Under a type filter every row must
@@ -345,8 +346,8 @@ def classify_space(
     table = G.table
     fil = None if type_filter is None else type_filter.key(table)
     if rows is None:
-        rows = tuple([tuple(map(table.index.__getitem__, t.entries)) for t in enumerate_tuples(
-            G, base_genus, branch_count, type_filter, work_cap=work_cap)])
+        rows = pop_rows(enumerate_tuples(G, base_genus, branch_count, type_filter,
+                                         work_cap=work_cap), table.index)
     elif fil is not None and any(type_key(table.classes, row[2 * base_genus:]) != fil
                                  for row in rows):
         raise InternalInvariantViolation("a row breaks the branching type")

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .moves import components
 from .perms import PermGroup, format_perm, generate_group, identity, parse_perm
-from .tuples import BranchingType, enumerate_tuples, make_branching_type
+from .tuples import BranchingType, enumerate_tuples, make_branching_type, pop_rows
 
 FORMAT_VERSION = 1
 
@@ -48,7 +48,12 @@ class Caps:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """Validated, normalized description of one computation."""
+    """Validated, normalized description of one computation.
+
+    ``requested`` names the subcommand that asked for the report; it does
+    not change what is computed, since ``run_job`` always computes every
+    section.
+    """
 
     degree: int
     generators: tuple[str, ...]
@@ -290,10 +295,9 @@ def run_job(spec: JobSpec) -> dict:
     space = (group, spec.base_genus, spec.branch_points, type_filter)
     cls = cache.load(key, partial(_classify_cached_rows, *space))
     index, strings = group.table.index, group.table.strings
-    if cls is None:  # tuples become rows as they are read, so no local keeps the tuple list
-        cls = classify_space(*space, rows=tuple([tuple(map(index.__getitem__, t.entries)) for t in
-                                                 enumerate_tuples(*space, work_cap=spec.caps.work,
-                                                                  stats=stats)]))
+    if cls is None:  # no HurwitzTuple outlives the making of its row
+        cls = classify_space(*space, rows=pop_rows(
+            enumerate_tuples(*space, work_cap=spec.caps.work, stats=stats), index))
         cache.store(key, {"count": len(cls.rows)}, list(chain.from_iterable(cls.rows)))
 
     # the move orbits are always recomputed: no check of a stored partition

@@ -279,20 +279,31 @@ class PermGroup:
     def table(self) -> "ElementTable":
         """Element indices, per-element data and subgroup joins, built on first use."""
         if "table" not in self._cache:
-            self._cache["table"] = ElementTable(self.elements)
+            self._cache["table"] = ElementTable(self.elements, self.generators)
         return self._cache["table"]  # type: ignore[return-value]
 
 
 class ElementTable:
-    """Indices of a group's sorted elements, per-element data, memoized
-    products and a memoized subgroup join.
+    """Indices of a group's sorted elements, per-element data, Cayley rows,
+    memoized products and a memoized subgroup join.
 
     Element j is ``elements[j]``; the identity sorts first, so it is index
     0.  ``mul(x, s)`` is the index of x * s.  ``cycle_types``, ``orders``,
     ``inverses`` (indices), ``classes`` (the index of each element's
-    minimal conjugate) and ``strings`` (cycle notation) are built on first
-    use; ``conjugation(s)`` maps indices through conjugation by s.  A
-    subgroup is an int bitmask over element indices: the trivial group is
+    minimal conjugate a0) and ``strings`` (cycle notation) are built on first
+    use; the loop that builds ``classes`` also records ``frames`` (for each
+    a, an index h with h * a0 * h^-1 = a; the identity for a0 itself).
+    ``conjugation(s)`` maps indices through conjugation by s.
+
+    ``row(x)`` is the Cayley row of x, the indices of x * s over all s,
+    memoized per x.  A generator's row is composed; any other x is g * y
+    along a breadth-first tree from the identity, with g a generator, and
+    its row is ``row(g)[row(y)[s]]``, pure list indexing.  Rows are dense,
+    so only the enumerator reads them; ``mul`` keeps its own sparse
+    ``products`` memo for the closures and the move search, since closing
+    every cyclic subgroup of S7 through rows would fill all 5,040 of them.
+
+    A subgroup is an int bitmask over element indices: the trivial group is
     1 and the whole group is ``full``.  ``join(mask, j)``
     is the mask of the subgroup generated by the subgroup ``mask`` and
     element j, and ``generates(ids)`` folds it.  A miss goes through
@@ -302,13 +313,15 @@ class ElementTable:
     members only, so it costs O(|<H, j>|) products, never O(|G|).
     """
 
-    def __init__(self, elements: tuple[Perm, ...]):
+    def __init__(self, elements: tuple[Perm, ...], generators: tuple[Perm, ...]):
         self.elements = elements
+        self.generators = generators
         self.index = {p: i for i, p in enumerate(elements)}
         self.size = len(elements)
         self.full = (1 << self.size) - 1
         self.joins: dict[tuple[int, int], int] = {}
         self.products: dict[int, int] = {}  # x * |G| + s -> index of x * s
+        self.rows: dict[int, list[int]] = {}  # x -> row(x)
         self._pairs: dict[tuple[int, ...], int] = {}  # (smaller, larger) mask -> their join
         # mask -> (generator indices, member indices) of each subgroup met,
         # except G itself, whose joins never miss
@@ -338,12 +351,59 @@ class ElementTable:
 
     @cached_property
     def classes(self) -> tuple[int, ...]:
-        out = [-1] * self.size
+        return self._classes_and_frames[0]
+
+    @cached_property
+    def frames(self) -> tuple[int, ...]:
+        return self._classes_and_frames[1]
+
+    @cached_property
+    def _classes_and_frames(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        out, frames = [-1] * self.size, [0] * self.size
         for j, p in enumerate(self.elements):
             if out[j] < 0:  # sorted, so the first member met is the minimum
-                for h in self.elements:
-                    out[self.index[conjugate(p, h)]] = j
-        return tuple(out)
+                # the identity (index 0) comes last, so it is the minimum's frame
+                for h in range(self.size - 1, -1, -1):
+                    k = self.index[conjugate(p, self.elements[h])]
+                    out[k], frames[k] = j, h
+        return tuple(out), tuple(frames)
+
+    def row(self, x: int) -> list[int]:
+        """Entry s is the index of x * s; memoized per x."""
+        rows = self.rows
+        chain = []  # x = g * y: row(x) needs row(y) first
+        z = x
+        while z not in rows:
+            g, y = self._steps.get(z, (z, 0))
+            if y == 0:  # a generator, the identity or an element no generator reaches
+                p, index = self.elements[z], self.index
+                rows[z] = [index[tuple(map(q.__getitem__, p))] for q in self.elements]
+            else:
+                chain.append(z)
+                z = y
+        for z in reversed(chain):
+            g, y = self._steps[z]
+            rows[z] = list(map(self.row(g).__getitem__, rows[y]))
+        return rows[x]
+
+    @cached_property
+    def _steps(self) -> dict[int, tuple[int, int]]:
+        """x -> (g, y) with x = g * y, g a generator, along a breadth-first
+        tree of the Cayley graph from the identity, whose step is (0, 0)."""
+        index, elements = self.index, self.elements
+        gens = [index[g] for g in self.generators]
+        steps = {0: (0, 0)}
+        frontier = [0]
+        for y in frontier:  # grows while it is walked
+            if len(steps) == self.size:
+                break
+            q = elements[y]
+            for g in gens:
+                x = index[tuple(map(q.__getitem__, elements[g]))]
+                if x not in steps:
+                    steps[x] = (g, y)
+                    frontier.append(x)
+        return steps
 
     def conjugation(self, s: Perm) -> tuple[int, ...]:
         """Entry j is the index of s * elements[j] * s^-1; s must normalize the group."""

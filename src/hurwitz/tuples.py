@@ -34,8 +34,10 @@ DEFAULT_WORK_CAP = 10**8
 class HurwitzTuple:
     """Immutable monodromy tuple stored as its flat entries, handles first
     (a_1, b_1, ..., a_g, b_g, g_1, ..., g_n); ordering is lexicographic on
-    the entries, i.e. on their concatenated one-line notations."""
+    the entries, i.e. on their concatenated one-line notations.  Slotted, as
+    an enumeration holds one per tuple of the space."""
 
+    __slots__ = ("entries", "base_genus", "__weakref__")
     entries: tuple[Perm, ...]
     base_genus: int
 
@@ -112,6 +114,17 @@ def type_key(classes, ids) -> tuple[int, ...]:
     return tuple(sorted([classes[j] for j in ids]))
 
 
+def pop_rows(tuples: list[HurwitzTuple], index: dict) -> tuple[tuple[int, ...], ...]:
+    """The tuples as rows of element indices (``index`` is a ``G.table.index``),
+    in order, emptying the list: each tuple is freed as its row is made, so the
+    rows come off the end and are reversed once the list is empty."""
+    rows = []
+    while tuples:
+        rows.append(tuple(map(index.__getitem__, tuples.pop().entries)))
+    rows.reverse()
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class BranchingType:
     """Multiset of conjugacy classes of the branch entries.
@@ -174,15 +187,25 @@ def enumerate_tuples(
     element order and solves the last branch entry from the relation, so
     the output order is the global total order.  Entries are ``G.table``
     element indices until a leaf is kept.  Each node carries the index of
-    its relation product, extended by ``mul``, and the mask of the
-    subgroup its free entries generate, extended by one memoized ``join``.
-    A type filter is a budget of branch entries per class index, read from
-    its ``key``: any member names its class, and a representative outside
-    G raises DegreeMismatch.  The last entry is a word in the free ones,
-    so a leaf generates G exactly when its mask is ``G.table.full``.  The
-    work cap counts visited search-tree nodes (candidate entry
-    assignments) and is checked at every visit; the a-priori bound
-    |G|^(2g+n-1) is checked up front.
+    its relation product and the mask of the subgroup its free entries
+    generate, extended by one memoized ``join``.  The mask lives in the
+    frame of the first entry a: with a0 = ``classes[a]`` and h =
+    ``frames[a]`` (h * a0 * h^-1 = a), the walk joins a0, then h^-1 * j * h
+    for every later entry j, through one conjugation map per first entry.
+    Conjugation by h is an automorphism of G, so a leaf generates G exactly
+    when its mask is ``G.table.full``, and the pair closures start from one
+    cyclic subgroup per conjugacy class.  At a branch slot the product is
+    read off the Cayley row of the node's product (``row``); handle slots
+    extend it by ``mul``.  When the last free slot is a branch slot, it
+    reads that row once and tests each candidate inline: the solved last
+    entry must not be the identity and must fit the filter's budget, and
+    the mask must be full.  The last entry is a word in the free ones, so
+    it never changes the mask.  A type filter is a budget of branch entries
+    per class index, read from its ``key``: any member names its class,
+    and a representative outside G raises DegreeMismatch.  The work cap
+    counts visited search-tree nodes (candidate entry assignments) and is
+    checked at every visit; the a-priori bound |G|^(2g+n-1) is checked up
+    front.
     ``stats`` receives the visited node count (``"nodes"``), the number
     of leaves reached (``"leaves"``) and the number of memoized joins of
     the group's table (``"join_memo"``).
@@ -206,33 +229,62 @@ def enumerate_tuples(
         # n = 1, g = 0: the single branch entry would have to be the identity.
         return []
 
-    mul, inv, join, classes, elements = (
-        table.mul, table.inverses, table.join, table.classes, table.elements)
+    mul, inv, join, classes, frames, row, elements, full = (
+        table.mul, table.inverses, table.join, table.classes, table.frames, table.row,
+        table.elements, table.full)
     # branch entries still allowed, by class index; a class absent from
     # the filter gets none, and without a filter no class runs out
     left = ([branch_count] * table.size if key is None
             else [key.count(c) for c in range(table.size)])
+    # the depth of the last free slot when it is a branch slot, else none
+    inline = free - 1 if branch_count > 1 else -1
     out: list[HurwitzTuple] = []
     chosen: list[int] = []
     nodes = 0
     leaves = 0
 
-    def walk(depth: int, run: int, mask: int) -> None:
+    def frame(h: int) -> list[int]:
+        # entry j is the index of h^-1 * j * h: with r the row of h^-1,
+        # r[j] = h^-1 * j, and (h^-1 * j) * h = (h^-1 * (h^-1 * j)^-1)^-1
+        r = row(inv[h])
+        return list(map(inv.__getitem__, map(r.__getitem__, map(inv.__getitem__, r))))
+
+    def walk(depth: int, run: int, mask: int, conj) -> None:
         # ``depth`` counts fully assigned free slots; ``run`` is the index
-        # of the relation product of everything committed so far and
-        # ``mask`` the subgroup the committed entries generate.
+        # of the relation product of everything committed so far, ``mask``
+        # the subgroup the committed entries generate in the first entry's
+        # frame and ``conj`` maps an entry into that frame (``classes`` at
+        # the root, where each first entry is joined as its class minimum)
         nonlocal nodes, leaves
-        if depth == free:
+        if depth == free:  # the last free slot was a handle slot
             leaves += 1
             last = inv[run]
-            if mask == table.full and last != 0 and left[classes[last]]:
+            if mask == full and last != 0 and left[classes[last]]:
                 out.append(HurwitzTuple(
                     tuple([elements[j] for j in chosen]) + (elements[last],), base_genus))
             return
         is_branch = depth >= 2 * base_genus
-        if depth % 2 == 1 and not is_branch:  # b_i: run * [a_i, b_i]
+        if is_branch:
+            r = row(run)
+        elif depth % 2 == 1:  # b_i: run * [a_i, b_i]
             a = chosen[-1]
             run_a, a_inv = mul(run, a), inv[a]
+        if depth == inline:
+            head = tuple([elements[k] for k in chosen])
+            for j in range(1, table.size):
+                c = classes[j]
+                if not left[c]:
+                    continue
+                nodes += 1
+                if nodes > work_cap:
+                    raise WorkCapExceeded(f"enumeration: {nodes} visited nodes exceed work cap "
+                                          f"{work_cap}; {len(out)} tuples kept so far")
+                leaves += 1
+                last = inv[r[j]]
+                k = classes[last]
+                if last and left[k] > (k == c) and join(mask, conj[j]) == full:
+                    out.append(HurwitzTuple(head + (elements[j], elements[last]), base_genus))
+            return
         for j in range(1 if is_branch else 0, table.size):  # index 0 is the identity
             if is_branch and not left[classes[j]]:
                 continue
@@ -241,18 +293,19 @@ def enumerate_tuples(
                 raise WorkCapExceeded(f"enumeration: {nodes} visited nodes exceed work cap "
                                       f"{work_cap}; {len(out)} tuples kept so far")
             chosen.append(j)
-            sub = join(mask, j)
+            sub = join(mask, conj[j])
+            below = conj if depth else frame(frames[j])
             if is_branch:
                 left[classes[j]] -= 1
-                walk(depth + 1, mul(run, j), sub)
+                walk(depth + 1, r[j], sub, below)
                 left[classes[j]] += 1
             elif depth % 2 == 1:
-                walk(depth + 1, mul(mul(mul(run_a, j), a_inv), inv[j]), sub)
+                walk(depth + 1, mul(mul(mul(run_a, j), a_inv), inv[j]), sub, below)
             else:
-                walk(depth + 1, run, sub)
+                walk(depth + 1, run, sub, below)
             chosen.pop()
 
-    walk(0, 0, 1)
+    walk(0, 0, 1, classes)
     if stats is not None:
         stats["nodes"] = nodes
         stats["leaves"] = leaves

@@ -182,10 +182,12 @@ def test_generation_memo_stays_small_on_a_large_group():
     # full product rows would hold |S7|^2 = 25,401,600 products
     r, t = parse_perm("(1 2 3 4 5 6 7)", 7), parse_perm("(1 2)", 7)
     s7 = generate_group([r, t])
+    # nor would every Cayley row, which the enumerator reads apart from the memo
     assert enumerate_tuples(s7, 0, 2) == []
     assert len(s7.table.products) < 20 * s7.order
     assert generates(s7, [r, t])
     assert len(s7.table.products) < 20 * s7.order
+    assert sum(map(len, s7.table.rows.values())) < 20 * s7.order
 
 
 A5_GENS = ("(1 2 3 4 5)", "(1 2 3)")
@@ -236,9 +238,11 @@ def test_join_of_two_cyclic_subgroups_closes_once(close_calls):
 
 
 def test_join_closures_per_enumeration(close_calls):
-    # one closure per unordered pair of subgroups, reached through <j>;
-    # closing per (subgroup, element) pair took 1,801 and 7,756
-    for gens, count, bound in ((A5_GENS, 2280, 500), (S5_GENS, 6840, 2300)):
+    # one closure per unordered pair of subgroups, reached through <j>, with
+    # the first entry joined as its class minimum; closing per (subgroup,
+    # element) pair took 1,801 and 7,756, and in the first entry's own
+    # frame 496 and 2,211
+    for gens, count, bound in ((A5_GENS, 2280, 160), (S5_GENS, 6840, 480)):
         close_calls.clear()
         assert len(enumerate_tuples(_group(gens, 5), 0, 3)) == count
         assert 0 < len(close_calls) <= bound
@@ -279,6 +283,23 @@ def test_element_table_per_element_data(c2, s3, c3, v4):
         assert table.cycle_types is table.cycle_types  # built once
         assert table.classes is table.classes
         assert len(table.products) <= len(elems) ** 2
+
+
+def test_cayley_rows_and_frames(c2, s3, c3, v4):
+    a5 = _group(A5_GENS, 5)
+    # a group whose generators are all its members: every row is composed
+    d8 = subgroup_from_elements(
+        4, o.o_closure([parse_perm("(1 2 3 4)", 4), parse_perm("(1 3)", 4)]))
+    for G in (c2, s3, c3, v4, a5, d8):
+        table = G.table
+        elems, n = table.elements, len(table.elements)
+        for x in range(n):
+            assert table.row(x) == [table.mul(x, s) for s in range(n)]
+            assert table.row(x) is table.row(x)  # built once
+        for a in range(n):
+            assert conjugate(elems[table.classes[a]], elems[table.frames[a]]) == elems[a]
+            if table.classes[a] == a:
+                assert table.frames[a] == 0  # a class minimum's frame is the identity
 
 
 def test_group_membership_and_iteration(s3):

@@ -141,6 +141,44 @@ def test_enumeration_matches_oracle(name, elems, d, g, n, request):
     assert got == expected
 
 
+def test_enumeration_matches_oracle_under_relabelling(matrix, twisted, s3):
+    # relabelled points give other class minima and frames; the enumerator
+    # must still list exactly the oracle's tuples, in its order
+    rng = random.Random(5)
+    swap, rot = parse_perm("(1 2)", 3), parse_perm("(1 2 3)", 3)
+    s4 = generate_group([parse_perm("(1 2 3 4)", 4), parse_perm("(1 2)", 4)])
+    cases = [(G, g, n, None) for G, g, n in matrix] + twisted + [
+        (s3, 1, 2, None),
+        (s3, 1, 2, make_branching_type(s3, [(swap, 2)])),
+        (s3, 0, 4, make_branching_type(s3, [(swap, 2), (rot, 2)])),
+        # 24 tuples of type [(1 2 3), (1 2 3 4), (1 2 3 4)] exist, so a solved last
+        # entry in the class of the entry before it must fit the budget left after both
+        (s4, 0, 3, make_branching_type(s4, [(parse_perm(e, 4), 1)
+                                            for e in ("(1 2)", "(1 2 3)", "(1 2 3 4)")])),
+    ]
+    for G, g, n, bt in cases:
+        phi = list(range(G.degree))
+        rng.shuffle(phi)
+        G2 = generate_group([o.o_conjugate(x, tuple(phi)) for x in G.generators])
+        bt2 = None if bt is None else make_branching_type(
+            G2, [(o.o_conjugate(rep, tuple(phi)), m) for rep, m in bt.entries])
+        got = [as_pair(t) for t in enumerate_tuples(G2, g, n, bt2)]
+        expected = [pair for pair in o.brute_force_tuples(G2.elements, G2.degree, g, n)
+                    if bt2 is None or branching_type_of(from_pair(pair, G2.degree), G2) == bt2]
+        assert got == expected and got
+
+
+def test_enumeration_node_and_leaf_counts_are_pinned():
+    a5 = generate_group([parse_perm("(1 2 3 4 5)", 5), parse_perm("(1 2 3)", 5)])
+    s3 = generate_group([parse_perm("(1 2 3)", 3), parse_perm("(1 2)", 3)])
+    s4 = generate_group([parse_perm("(1 2 3 4)", 4), parse_perm("(1 2)", 4)])
+    for G, g, n, counts in [(a5, 0, 3, (3540, 3481)), (s3, 1, 4, (5622, 4500)),
+                            (s4, 0, 4, (12719, 12167))]:
+        stats = {}
+        enumerate_tuples(G, g, n, stats=stats)
+        assert (stats["nodes"], stats["leaves"]) == counts
+
+
 def test_enumeration_counts_nodes(s3):
     stats = {}
     enumerate_tuples(s3, 0, 3, stats=stats)
