@@ -101,10 +101,9 @@ class _RowAction:
             raise IntransitiveGroup("N_Sym(G) = N(lam0) T needs a transitive group")
         return [self.orbit(member) for member in zip(*map(self.moved.__getitem__, row))]
 
-    def spread(self, key: tuple[int, ...]) -> Counter:
-        """Per type key, how many n in N(lam) move the type key ``key`` to it."""
-        return Counter(type_key(self.classes, col)
-                       for col in zip(*map(self.images.__getitem__, key)))
+    def twists(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Entry k is the type key to which N(lam)'s k-th element moves the type key ``key``."""
+        return [type_key(self.classes, col) for col in zip(*map(self.images.__getitem__, key))]
 
 
 def _row_action(G: PermGroup, lam: int) -> _RowAction:
@@ -299,7 +298,7 @@ class SpaceClassification:
         fil = None if self.type_filter is None else self.type_filter.key(table)
         by_key: dict[tuple[int, ...], list[int]] = {}
         for key, m in Counter(types).items():
-            for image, n in action.spread(key).items():
+            for image, n in Counter(action.twists(key)).items():
                 if fil is None or image == fil:
                     by_key.setdefault(image, [0, 0, 0])[0] += m * n
         # a twisted type filter can carry a canonical outside the listed rows
@@ -334,8 +333,8 @@ def classify_space(
     Like the output of ``enumerate_tuples`` the rows must be sorted and
     hold every conjugate of a listed tuple by G; their relation and
     generation are not checked here.  Under a type filter every row must
-    have the filter's ``key`` as its ``type_key``; a representative
-    outside G raises DegreeMismatch.  Each pointed orbit
+    have the filter's ``key`` as its ``type_key`` (checked per pointed
+    class); a representative outside G raises DegreeMismatch.  Each pointed orbit
     must have |N(lam0)| members (the action is free).  The fiber
     identity  #tuples = #pointed * |Stab_N(lam0)(type)|  is enforced:
     conjugation twists a branching type classwise, so the stabilizer of
@@ -348,9 +347,6 @@ def classify_space(
     if rows is None:
         rows = pop_rows(enumerate_tuples(G, base_genus, branch_count, type_filter,
                                          work_cap=work_cap), table.index)
-    elif fil is not None and any(type_key(table.classes, row[2 * base_genus:]) != fil
-                                 for row in rows):
-        raise InternalInvariantViolation("a row breaks the branching type")
     action = _row_action(G, G.marked_point)
     position = {row: k for k, row in enumerate(rows)}
 
@@ -367,12 +363,16 @@ def classify_space(
             if i is not None:
                 pointed_of[i], conjugator_of[i] = len(found), j
         found.append((min(orbit), k))
-    stab_order = action.N.order if fil is None else action.spread(fil)[fil]
-    if len(rows) != len(found) * stab_order:
-        raise FreeActionViolated(
-            f"{len(rows)} tuples vs {len(found)} pointed classes "
-            f"with type-stabilizer order {stab_order}"
-        )
+    # under a type filter every listed row has its type exactly when each class's
+    # first listed row has it and every conjugator lies in the type's stabilizer
+    stab = range(action.N.order) if fil is None else {
+        j for j, key in enumerate(action.twists(fil)) if key == fil}
+    if fil is not None and (any(type_key(table.classes, rows[k][2 * base_genus:]) != fil
+                                for _, k in found) or not stab.issuperset(conjugator_of)):
+        raise InternalInvariantViolation("a row breaks the branching type")
+    if len(rows) != len(found) * len(stab):
+        raise FreeActionViolated(f"{len(rows)} tuples vs {len(found)} pointed classes "
+                                 f"with type-stabilizer order {len(stab)}")
     order = sorted(range(len(found)), key=lambda c: found[c][0])
     rank = {c: r for r, c in enumerate(order)}
     pointed_of = [rank[c] for c in pointed_of]

@@ -298,10 +298,11 @@ class ElementTable:
     ``row(x)`` is the Cayley row of x, the indices of x * s over all s,
     memoized per x.  A generator's row is composed; any other x is g * y
     along a breadth-first tree from the identity, with g a generator, and
-    its row is ``row(g)[row(y)[s]]``, pure list indexing.  Rows are dense,
-    so only the enumerator reads them; ``mul`` keeps its own sparse
-    ``products`` memo for the closures and the move search, since closing
-    every cyclic subgroup of S7 through rows would fill all 5,040 of them.
+    its row is ``row(g)[row(y)[s]]``, pure list indexing.  The enumerator,
+    the pair closures, ``conjugation`` and the classes read rows.  They are
+    dense, so ``mul`` keeps a sparse ``products`` memo for the cyclic
+    closures, the move search, the relation checks and the handle slots:
+    rows for every cyclic subgroup of S7 would fill all 5,040 of them.
 
     A subgroup is an int bitmask over element indices: the trivial group is
     1 and the whole group is ``full``.  ``join(mask, j)``
@@ -359,13 +360,19 @@ class ElementTable:
 
     @cached_property
     def _classes_and_frames(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # a class is the orbit of its minimum a0 under the generators'
+        # conjugation maps; y = h * a0 * h^-1 gives g * y * g^-1 the frame g * h
+        maps = [(self.conjugation(g), self.row(self.index[g])) for g in self.generators]
         out, frames = [-1] * self.size, [0] * self.size
-        for j, p in enumerate(self.elements):
+        for j in range(self.size):
             if out[j] < 0:  # sorted, so the first member met is the minimum
-                # the identity (index 0) comes last, so it is the minimum's frame
-                for h in range(self.size - 1, -1, -1):
-                    k = self.index[conjugate(p, self.elements[h])]
-                    out[k], frames[k] = j, h
+                out[j], orbit = j, [j]
+                for y in orbit:  # grows while it is walked
+                    for image, row in maps:
+                        k = image[y]
+                        if out[k] < 0:
+                            out[k], frames[k] = j, row[frames[y]]
+                            orbit.append(k)
         return tuple(out), tuple(frames)
 
     def row(self, x: int) -> list[int]:
@@ -406,9 +413,16 @@ class ElementTable:
         return steps
 
     def conjugation(self, s: Perm) -> tuple[int, ...]:
-        """Entry j is the index of s * elements[j] * s^-1; s must normalize the group."""
-        sinv, index = inverse(s), self.index
-        return tuple([index[tuple([sinv[p[k]] for k in s])] for p in self.elements])
+        """Entry j is the index of s * elements[j] * s^-1.  Only the generators are conjugated
+        (an s not normalizing G raises KeyError there); x = g * y maps to image(g) * image(y)."""
+        image, rows = [0] * self.size, {}
+        for x, (g, y) in self._steps.items():  # g and y come before x
+            if y:
+                image[x] = rows[g][image[y]]
+            elif x:  # a generator; the identity maps to itself
+                image[x] = self.index[conjugate(self.elements[x], s)]
+                rows[x] = self.row(image[x])
+        return tuple(image)
 
     @cached_property
     def strings(self) -> tuple[str, ...]:
@@ -439,26 +453,27 @@ class ElementTable:
     def _close(self, mask: int, j: int) -> int:
         gens, members = self._subgroups[mask]
         gens += (j,)
-        n, mul = self.size, self.mul
-        seen = set(members)
-        # H is closed under its own generators, so only its products with
-        # j can leave it; the identity (members[0]) gives j itself
-        new = [j]
-        seen.add(j)
-        for x in members[1:]:
-            y = mul(x, j)
-            if y not in seen:
-                seen.add(y)
+        half, seen = self.size // 2, set(members)
+        if len(members) == 1:  # <j>: the powers of j, through the sparse memo
+            new = [j]
+            while (y := self.mul(new[-1], j)) != 0:
                 new.append(y)
-        for y in new:  # grows while it is walked
-            # Lagrange: a subgroup with more than |G|/2 elements is G
-            if len(seen) > n // 2:
-                return self.full
-            for s in gens:
-                z = mul(y, s)
-                if z not in seen:
-                    seen.add(z)
-                    new.append(z)
+            seen.update(new)
+        else:  # left products by the generators' rows, from the coset j * H outside H
+            rows = list(map(self.row, gens))
+            new = list(map(rows[-1].__getitem__, members))
+            seen.update(new)
+            for y in new:  # grows while it is walked
+                # Lagrange: a subgroup with more than |G|/2 elements is G
+                if len(seen) > half:
+                    return self.full
+                for row in rows:
+                    z = row[y]
+                    if z not in seen:
+                        seen.add(z)
+                        new.append(z)
+        if len(seen) > half:
+            return self.full
         for y in new:
             mask |= 1 << y
         if len(members) == 1:

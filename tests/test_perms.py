@@ -193,6 +193,7 @@ def test_generation_memo_stays_small_on_a_large_group():
 A5_GENS = ("(1 2 3 4 5)", "(1 2 3)")
 S5_GENS = ("(1 2 3 4 5)", "(1 2)")
 S4_GENS = ("(1 2 3 4)", "(1 2)")
+S3_GENS = ("(1 2)", "(1 2 3)")
 
 
 def _group(gens, degree):
@@ -203,16 +204,29 @@ def _mask(table, members):
     return sum(1 << table.index[p] for p in members)
 
 
+def _spanning(members):
+    """A few of the members that generate the subgroup they form, chosen greedily."""
+    gens, span = [], {members[0]}
+    for p in members:
+        if p not in span:
+            gens.append(p)
+            span = o.o_closure(gens)
+    return gens
+
+
 def test_join_memo_matches_closure_oracle():
     # every memoized join, closed or read from the memo of its pair of
-    # subgroups, is the closure of the mask's members and j
-    for G, g, n in ((_group(A5_GENS, 5), 0, 3), (_group(S4_GENS, 4), 0, 4)):
+    # subgroups, is the closure of the mask's members (a generating set of
+    # them) and j; S3 g1 n4 joins along a walk with handle slots
+    for G, g, n in ((_group(A5_GENS, 5), 0, 3), (_group(S4_GENS, 4), 0, 4),
+                    (_group(S5_GENS, 5), 0, 3), (_group(S3_GENS, 3), 1, 4)):
         enumerate_tuples(G, g, n)
-        table = G.table
-        assert table.joins
+        table, spans = G.table, {}
+        assert any(mask != 1 for mask, _ in table.joins)  # pair closures met
         for (mask, j), out in table.joins.items():
-            members = [p for k, p in enumerate(table.elements) if mask >> k & 1]
-            assert out == _mask(table, o.o_closure(members + [table.elements[j]])), (mask, j)
+            if mask not in spans:
+                spans[mask] = _spanning([p for k, p in enumerate(table.elements) if mask >> k & 1])
+            assert out == _mask(table, o.o_closure(spans[mask] + [table.elements[j]])), (mask, j)
 
 
 @pytest.fixture
@@ -300,6 +314,50 @@ def test_cayley_rows_and_frames(c2, s3, c3, v4):
             assert conjugate(elems[table.classes[a]], elems[table.frames[a]]) == elems[a]
             if table.classes[a] == a:
                 assert table.frames[a] == 0  # a class minimum's frame is the identity
+
+
+def rebuilt_table_groups():
+    """Groups beyond the fixtures: S5, the regular C2^3 of degree 8, C9 (one
+    generator, so its breadth-first tree is one cycle), S4 relabelled by a
+    seeded point shuffle, and S4 from a generator list that holds the
+    identity and a repeated element."""
+    s4 = [parse_perm(g, 4) for g in S4_GENS]
+    phi = list(range(4))
+    random.Random(4).shuffle(phi)
+    return [_group(S5_GENS, 5),
+            generate_group([tuple(x ^ bit for x in range(8)) for bit in (1, 2, 4)]),
+            _group(["(1 2 3 4 5 6 7 8 9)"], 9),
+            generate_group([o.o_conjugate(g, tuple(phi)) for g in s4]),
+            generate_group([identity(4), s4[0], s4[1], s4[0]])]
+
+
+def test_classes_frames_and_conjugation_maps_match_oracles():
+    for G in rebuilt_table_groups():
+        table = G.table
+        elems, lam = table.elements, G.marked_point
+        for a, p in enumerate(elems):
+            a0 = table.classes[a]
+            assert elems[a0] == min(o.o_conjugate(p, h) for h in elems)
+            # the frame conjugates the class minimum to a; a minimum's is the identity
+            assert o.o_conjugate(elems[a0], elems[table.frames[a]]) == p
+            assert table.frames[a] == 0 or a0 != a
+        # N(lam0) and T, the minimal element of G moving lam0 to each point
+        T = [min(h for h in elems if h[lam] == mu) for mu in range(G.degree)]
+        for s in list(normalizer_fixing_point(G)) + T:
+            assert [elems[y] for y in table.conjugation(s)] == [
+                o.o_conjugate(p, s) for p in elems]
+
+
+def test_conjugation_by_a_non_normalizing_element_raises():
+    # no partial map: the KeyError comes from a generator's conjugate
+    c4 = _group(["(1 2 3 4)"], 4)
+    with pytest.raises(KeyError):
+        c4.table.conjugation(parse_perm("(1 2)", 4))
+    # (3 5) keeps the first generator (1 2) in G and moves (3 4) out of it
+    G = _group(["(1 2)", "(3 4)"], 5)
+    assert o.o_conjugate(G.generators[0], parse_perm("(3 5)", 5)) in G
+    with pytest.raises(KeyError):
+        G.table.conjugation(parse_perm("(3 5)", 5))
 
 
 def test_group_membership_and_iteration(s3):
