@@ -17,7 +17,7 @@ N(lam0) and of T, the minimal element of G moving lam0 to each point, and
 the N(lam0)-orbit of a row, checked to be free.  N_Sym(G) is never built: G
 is transitive and normal in N_Sym(G), so by the Frattini argument N_Sym(G) =
 N(lam0) T, and the N_Sym(G)-orbit of t is the union of the pointed classes
-of r t r^-1 over r in T.
+of r t r^-1 over r in T.  Beside its rows a space keeps one per-row dict.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (DegreeMismatch, FreeActionViolated, IntransitiveGroup,
-                     InternalInvariantViolation)
+                     InternalInvariantViolation, PointOutOfRange, RepeatedPoint)
 from .perms import (
     Perm,
     PermGroup,
@@ -193,6 +193,10 @@ def relabel(t: HurwitzTuple, phi: Perm, G: PermGroup) -> tuple[HurwitzTuple, Per
     """
     if len(phi) != G.degree:
         raise DegreeMismatch(f"relabeling degree {len(phi)} vs group degree {G.degree}")
+    if not set(phi) <= set(range(G.degree)):
+        raise PointOutOfRange(f"relabeling {phi} sends a point out of range")
+    if len(set(phi)) != G.degree:
+        raise RepeatedPoint(f"relabeling {phi} sends two points to one")
     new_gens = tuple(conjugate(g, phi) for g in G.generators)
     new_elements = tuple(sorted(conjugate(g, phi) for g in G.elements))
     new_marked = inverse(phi)[G.marked_point]
@@ -249,15 +253,16 @@ class SpaceClassification:
     """Everything the census and the reports need about one space.
 
     ``rows`` holds the tuples and ``canonicals`` the pointed classes' orbit
-    minima, each sorted, as rows of ``group.table`` element indices.  Row k
-    lies in pointed class ``pointed_of[k]``, class c in unpointed class
-    ``unpointed_of[c]``, and the first class in u is ``unpointed_first[u]``.
-    ``rows[k]`` is its class's first listed row conjugated by the
-    ``conjugator_of[k]``-th element of N(lam0).  Built when read: ``tuples``,
-    ``pointed``, ``unpointed`` and ``types`` (each canonical's ``type_key``).
-    The census counts the tuples from the classes: N(lam0) acts freely, so
-    every tuple is n c for exactly one canonical c and one n in N(lam0), and
-    has type n type(c); under a type filter the listed tuples are those of its type.
+    minima, each sorted, as rows of ``group.table`` element indices.  The one
+    per-row structure beside them, ``row_index`` in row order, maps a row to
+    c |N(lam0)| + k when it is class c's first listed row ``rows[first_row[c]]``
+    conjugated by N(lam0)'s k-th element.  Class c lies in unpointed class
+    u = ``unpointed_of[c]``, whose first class is ``unpointed_first[u]``.  Built
+    when read: ``tuples``, ``pointed``, ``unpointed``, ``types`` (each
+    canonical's ``type_key``) and ``pointed_of`` (each row's class).  The census
+    counts the tuples from the classes: N(lam0) acts freely, so every tuple
+    is n c for exactly one canonical c and one n in N(lam0), and has type
+    n type(c); under a type filter the listed tuples are those of its type.
     """
 
     group: PermGroup
@@ -266,9 +271,9 @@ class SpaceClassification:
     type_filter: BranchingType | None
     rows: tuple[tuple[int, ...], ...] = field(repr=False)
     canonicals: tuple[tuple[int, ...], ...] = field(repr=False)
-    pointed_of: tuple[int, ...] = field(compare=False, repr=False)
+    row_index: dict[tuple[int, ...], int] = field(compare=False, repr=False)
+    first_row: tuple[int, ...] = field(compare=False, repr=False)
     unpointed_of: tuple[int, ...] = field(compare=False, repr=False)
-    conjugator_of: tuple[int, ...] = field(compare=False, repr=False)
     unpointed_first: tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
@@ -285,6 +290,11 @@ class SpaceClassification:
         size, n = Counter(self.unpointed_of), normalizer_fixing_point(self.group).order
         return tuple([UnpointedClass(self.pointed[c].canonical, size[u] * n)
                       for u, c in enumerate(self.unpointed_first)])
+
+    @cached_property
+    def pointed_of(self) -> tuple[int, ...]:
+        n = normalizer_fixing_point(self.group).order
+        return tuple([v // n for v in self.row_index.values()])
 
     @cached_property
     def types(self) -> tuple[tuple[int, ...], ...]:
@@ -323,9 +333,9 @@ def classify_space(
     work_cap: int = DEFAULT_WORK_CAP,
     rows: tuple[tuple[int, ...], ...] | None = None,
 ) -> SpaceClassification:
-    """Enumerate a space and classify it at both quotient levels: each row
-    gets its pointed class, kept as its canonical row, and each pointed
-    class its unpointed class.
+    """Enumerate a space and classify it at both quotient levels: ``row_index``
+    gives each row its pointed class, kept as its canonical row, and its conjugator
+    from the class's first listed row; each pointed class gets its unpointed class.
 
     ``rows`` short-circuits the enumeration, which ``work_cap`` bounds: the
     tuples as rows of ``G.table`` element indices (the cache decoder passes
@@ -348,35 +358,38 @@ def classify_space(
         rows = pop_rows(enumerate_tuples(G, base_genus, branch_count, type_filter,
                                          work_cap=work_cap), table.index)
     action = _row_action(G, G.marked_point)
-    position = {row: k for k, row in enumerate(rows)}
+    n = action.N.order
 
-    # pointed: one orbit expansion per class; the minimum is taken over the
-    # whole orbit, which a twisted type filter can carry outside the list
-    pointed_of, conjugator_of = [-1] * len(rows), [0] * len(rows)
+    # pointed: one orbit expansion per class, whose minimum a twisted type filter
+    # can carry outside the list.  A row gets f n + k here, f counting classes in
+    # order of first row: canonical order unless a class's minimum is unlisted
+    row_index = dict.fromkeys(rows, -1)
     found: list[tuple[tuple[int, ...], int]] = []  # (orbit minimum, first listed member)
-    for k, row in enumerate(rows):
-        if pointed_of[k] >= 0:
+    for i, row in enumerate(rows):
+        if row_index[row] >= 0:
             continue
-        orbit = action.orbit(row)
-        for j, member in enumerate(orbit):
-            i = position.get(member)
-            if i is not None:
-                pointed_of[i], conjugator_of[i] = len(found), j
-        found.append((min(orbit), k))
+        orbit, base = action.orbit(row), len(found) * n
+        for k, member in enumerate(orbit):
+            if member in row_index:
+                row_index[member] = base + k
+        found.append((min(orbit), i))
     # under a type filter every listed row has its type exactly when each class's
     # first listed row has it and every conjugator lies in the type's stabilizer
-    stab = range(action.N.order) if fil is None else {
-        j for j, key in enumerate(action.twists(fil)) if key == fil}
-    if fil is not None and (any(type_key(table.classes, rows[k][2 * base_genus:]) != fil
-                                for _, k in found) or not stab.issuperset(conjugator_of)):
+    stab = range(n) if fil is None else {k for k, t in enumerate(action.twists(fil)) if t == fil}
+    if fil is not None and (any(v % n not in stab for v in row_index.values()) or any(
+            type_key(table.classes, rows[i][2 * base_genus:]) != fil for _, i in found)):
         raise InternalInvariantViolation("a row breaks the branching type")
     if len(rows) != len(found) * len(stab):
         raise FreeActionViolated(f"{len(rows)} tuples vs {len(found)} pointed classes "
                                  f"with type-stabilizer order {len(stab)}")
-    order = sorted(range(len(found)), key=lambda c: found[c][0])
-    rank = {c: r for r, c in enumerate(order)}
-    pointed_of = [rank[c] for c in pointed_of]
-    canonicals = tuple([found[c][0] for c in order])
+    order = sorted(range(len(found)), key=lambda f: found[f][0])
+    shift = [0] * len(found)  # renumbers the classes in canonical order
+    for c, f in enumerate(order):
+        shift[f] = (c - f) * n
+    if any(shift):
+        for row, v in row_index.items():
+            row_index[row] = v + shift[v // n]
+    canonicals, first_row = (tuple([found[f][j] for f in order]) for j in (0, 1))
 
     # unpointed: N_Sym(G) = N(lam0) T; a class is the union of the pointed
     # classes of r t r^-1 over r in T, and its first pointed class is its minimum
@@ -385,19 +398,15 @@ def classify_space(
     for c in range(len(canonicals)):
         if unpointed_of[c] >= 0:
             continue
-        union = set()
-        for member in zip(*map(action.moved.__getitem__, rows[found[order[c]][1]])):
-            if member not in position:
-                raise InternalInvariantViolation(
-                    "a conjugate by G of a listed tuple is not listed")
-            union.add(pointed_of[position[member]])
-        for u in union:
-            unpointed_of[u] = len(unpointed_first)
+        for member in zip(*map(action.moved.__getitem__, rows[first_row[c]])):
+            if member not in row_index:
+                raise InternalInvariantViolation("a conjugate by G of a listed tuple is not listed")
+            unpointed_of[row_index[member] // n] = len(unpointed_first)
         unpointed_first.append(c)
 
     return SpaceClassification(
         G, base_genus, branch_count, type_filter, rows, canonicals,
-        tuple(pointed_of), tuple(unpointed_of), tuple(conjugator_of), tuple(unpointed_first),
+        row_index, first_row, tuple(unpointed_of), tuple(unpointed_first),
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     DegreeMismatch,
@@ -76,26 +77,16 @@ def coset_model(t: HurwitzTuple, G: PermGroup, H: PermGroup) -> ActionTuple:
     Cosets are indexed in the order of their minimal elements.  With
     H = G(lam0) this is the quotient model of the induced cover.
     """
-    if H.degree != G.degree or not all(h in G for h in H.elements):
-        raise NotASubgroup("H is not a subgroup of G")
-    h_elems = H.elements
-    coset_of: dict[Perm, Perm] = {}
-    reps: list[Perm] = []
-    for g in G.elements:  # sorted, so the first member seen is the minimum
-        if g in coset_of:
-            continue
-        members = [compose(h, g) for h in h_elems]
-        rep = min(members)
-        reps.append(rep)
-        for m in members:
-            coset_of[m] = rep
-    reps.sort()
-    index = {rep: i for i, rep in enumerate(reps)}
-    actions = tuple(
-        tuple(index[coset_of[compose(rep, e)]] for rep in reps)
-        for e in t.entries
-    )
-    return ActionTuple(t, len(reps), actions)
+    ids = [G.table.index.get(h) for h in H.elements]
+    if None in ids or reduce(G.table.join, ids, 1) != sum(1 << i for i in set(ids)):
+        raise NotASubgroup("H is not a subgroup of G")  # not in G, or not closed
+
+    def coset(x: Perm) -> Perm:  # the least member of H x
+        return min(compose(h, x) for h in H.elements)
+
+    index = {rep: i for i, rep in enumerate(sorted({coset(g) for g in G.elements}))}
+    return ActionTuple(t, len(index), tuple(
+        tuple(index[coset(compose(rep, e))] for rep in index) for e in t.entries))
 
 
 def actions_isomorphic(A: ActionTuple, B: ActionTuple) -> Perm | None:

@@ -21,7 +21,7 @@ same edges.
 
 Moves touch only branch slots, so in every genus they commute with
 conjugation by N(lam0), and ``components`` searches the pointed classes
-of one ``SpaceClassification``.
+of one ``SpaceClassification``, each class orbit from its least class.
 Class c gets a row rep_c = w_c base_c (base_c its first listed row) in
 the root's tuple orbit O.  A move from rep_c onto the row n_k base_c' of
 a class met before gives the Schreier generator n_k w_c'^-1 of
@@ -32,6 +32,7 @@ Algorithms*, 2003, 4.2).  Over a class orbit C each tuple orbit has
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal
@@ -103,18 +104,26 @@ class ComponentPartition:
 
     ``orbit_sizes`` lists one size per orbit, ordered by each orbit's
     minimal member; ``exact`` is false for genus >= 1 where the partition
-    is only a refinement of the true components.  ``orbit_of[k]`` is the
-    orbit of the k-th member of the level in ``classification``: its
-    ``rows[k]`` at the tuples level, else its k-th class.  ``orbits``
-    lists each orbit's members (tuples, or the classes' canonical
-    representatives), built when first read.
+    is only a refinement of the true components.  ``class_orbit[c]`` is the
+    orbit of the level's c-th class (pointed at the tuples level, where
+    ``lift[c][k]`` is the tuple orbit of the row ``row_index`` maps to
+    c |N(lam0)| + k).  Built when read: ``orbit_of``, per member (per row at
+    the tuples level), and ``orbits``, each orbit's tuples or canonicals.
     """
 
     level: Level
     exact: bool
     orbit_sizes: tuple[int, ...]
-    orbit_of: tuple[int, ...] = field(repr=False)
+    class_orbit: tuple[int, ...] = field(repr=False)
     classification: SpaceClassification = field(compare=False, repr=False)
+    lift: tuple[list, ...] = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def orbit_of(self) -> tuple[int, ...]:
+        if self.level != "tuples":
+            return self.class_orbit
+        n, lift = normalizer_fixing_point(self.classification.group).order, self.lift
+        return tuple([lift[v // n][v % n] for v in self.classification.row_index.values()])
 
     @cached_property
     def orbits(self) -> tuple[tuple[HurwitzTuple, ...], ...]:
@@ -126,15 +135,6 @@ class ComponentPartition:
             orbits[k].append(t)
         return tuple(map(tuple, orbits))
 
-    @cached_property
-    def quotients(self) -> dict[Level, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Per class level, each class's orbit and the orbit sizes: the pointed
-        class images of the tuple orbits, then their unpointed class images."""
-        cls = self.classification
-        pointed = _class_orbits(self.orbit_of, cls.pointed_of, len(cls.canonicals))
-        return {"pointed": pointed,
-                "unpointed": _class_orbits(pointed[0], cls.unpointed_of, len(cls.unpointed_first))}
-
 
 def _moved(table: ElementTable, row: tuple[int, ...], first: int):
     """The rows one forward move from an index row with branch slots from ``first``."""
@@ -145,9 +145,8 @@ def _moved(table: ElementTable, row: tuple[int, ...], first: int):
 
 
 def _class_orbits(orbit_of, class_of, count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Move orbits of the ``count`` classes, the images of the members'
-    orbits, numbered by minimal class: each class's orbit and the sizes.
-    Moves commute with conjugation, so two images are equal or disjoint."""
+    """Each of the ``count`` classes' move orbit, numbered by least class, and the
+    sizes: the members' orbits' images, equal or disjoint as moves commute with conjugation."""
     images: dict[int, set[int]] = {}  # member orbit -> its classes
     for k, c in zip(orbit_of, class_of):
         images.setdefault(k, set()).add(c)
@@ -163,31 +162,28 @@ def _class_orbits(orbit_of, class_of, count: int) -> tuple[tuple[int, ...], tupl
 
 def _tuple_partition(cls: SpaceClassification, orbit_cap: int) -> ComponentPartition:
     """The tuple partition by a BFS over the pointed classes (see ``components``)."""
-    table, rows, position = cls.group.table, cls.rows, {r: k for k, r in enumerate(cls.rows)}
-    pointed_of, conjugator_of = cls.pointed_of, cls.conjugator_of
+    table, rows, row_index = cls.group.table, cls.rows, cls.row_index
     nt = normalizer_fixing_point(cls.group).table
-    count = len(cls.canonicals)
+    n, count = nt.size, len(cls.canonicals)
     first, listed = 2 * cls.base_genus, len(rows) // max(count, 1)
-    owner = [-1] * count  # each class's class orbit
+    owner = [-1] * count  # each class's class orbit, numbered by least class
     voltage = [0] * count  # w_c, with rep_c = w_c base_c in the root's tuple orbit
     lift: list = [None] * count  # per class c and each k, the orbit label of n_k base_c
     sizes: list[int] = []  # per class orbit, the size |C| |H| of each tuple orbit over it
     reached = 0
-    # roots in order of first row; i is a listed row of the root
-    for root, i in dict(zip(pointed_of, range(len(rows)))).items():
+    for root in range(count):  # seeded at the root's first listed row, so w_root = 1
         if owner[root] >= 0:
             continue
-        orbit, stab, reps = len(sizes), 1, [rows[i]]  # reps grows while it is walked
-        owner[root], voltage[root] = orbit, conjugator_of[i]
-        for rep in reps:
+        orbit, stab, reps = len(sizes), 1, [(root, rows[cls.first_row[root]])]
+        owner[root] = orbit
+        for _, rep in reps:  # grows while it is walked
             for y in _moved(table, rep, first):
-                j = position.get(y)
-                if j is None or owner[pointed_of[j]] not in (-1, orbit):
+                d, k = divmod(row_index.get(y, -1), n)  # an unlisted row gives d = -1
+                if d < 0 or owner[d] not in (-1, orbit):
                     raise InternalInvariantViolation("orbit escaped the enumerated space")
-                d, k = pointed_of[j], conjugator_of[j]
                 if owner[d] < 0:
                     owner[d], voltage[d] = orbit, k
-                    reps.append(y)
+                    reps.append((d, y))
                 elif k != voltage[d] and stab != nt.full:  # a Schreier generator of H
                     stab = nt.join(stab, nt.mul(k, nt.inverses[voltage[d]]))
             # the tuple orbits over C reach |C| listed - listed / |H| rows by a move
@@ -196,24 +192,24 @@ def _tuple_partition(cls: SpaceClassification, orbit_cap: int) -> ComponentParti
                                        f"{reached} reached in {len(sizes)} finished class orbit(s)")
         reached += len(reps) * listed - listed // stab.bit_count()
         sizes.append(len(reps) * stab.bit_count())
-        members = [h for h in range(nt.size) if stab >> h & 1]
-        least = [-1] * nt.size  # the least element of each left coset g H
-        for g in range(nt.size):
+        members = [h for h in range(n) if stab >> h & 1]
+        least = [-1] * n  # the least element of each left coset g H
+        for g in range(n):
             if least[g] < 0:
                 for h in members:
                     least[nt.mul(g, h)] = g
         tables: dict[int, list[int]] = {}  # per w_c^-1, or one when H is all of N(lam0)
-        for rep in reps:
-            c = pointed_of[position[rep]]
+        for c, _ in reps:
             u = nt.inverses[voltage[c]] if stab != nt.full else 0
             lift[c] = tables.get(u) or tables.setdefault(
-                u, [orbit * nt.size + least[nt.mul(k, u)] for k in range(nt.size)])
+                u, [orbit * n + least[nt.mul(k, u)] for k in range(n)])
     # tuple orbits numbered by first row, as a row-level BFS seeded in row order would
-    raw = [lift[c][k] for c, k in zip(pointed_of, conjugator_of)]
-    number = {label: n for n, label in enumerate(dict.fromkeys(raw))}
-    return ComponentPartition(
-        "tuples", cls.base_genus == 0, tuple([sizes[label // nt.size] for label in number]),
-        tuple(map(number.__getitem__, raw)), cls)
+    number = {x: m for m, x in enumerate(dict.fromkeys(
+        lift[v // n][v % n] for v in row_index.values()))}
+    for labels in {id(t): t for t in lift}.values():  # None outside a type filter's rows
+        labels[:] = map(number.get, labels)
+    return ComponentPartition("tuples", cls.base_genus == 0, tuple(
+        [sizes[x // n] for x in number]), tuple(owner), cls, tuple(lift))
 
 
 def components(
@@ -225,13 +221,14 @@ def components(
 ) -> ComponentPartition:
     """Orbit partition of a classified space at the requested quotient level.
 
-    A BFS over the pointed classes finds the class orbits and the
+    A BFS over the pointed classes, rooted in class order, finds the class
+    orbits, numbered by least class and so the pointed partition, and the
     stabilizer H of a tuple orbit over each (see the module docstring); one
-    pass over the rows numbers the tuple orbits by first row.  ``orbit_cap``
-    bounds the tuples reached by a move, |C| |H| - 1 per tuple orbit,
-    checked while C grows.  ``tuple_partition``, a tuple-level partition of
-    this very ``classification``, supplies the tuple partition; the class
-    levels are its memoized ``quotients``.
+    pass over the row index numbers the tuple orbits by first row.  The
+    unpointed partition is the image of the pointed one under ``unpointed_of``.
+    ``orbit_cap`` bounds the tuples reached by a move, |C| |H| - 1 per tuple
+    orbit, checked while C grows.  ``tuple_partition``, a tuple-level
+    partition of this very ``classification``, supplies the tuple partition.
     """
     if level not in ("tuples", "pointed", "unpointed"):
         raise ValueError(f"unknown level {level!r}")
@@ -241,6 +238,8 @@ def components(
         raise ValueError("tuple_partition must be a tuple-level partition of this classification")
     if level == "tuples":
         return tuple_partition
-    orbit_of, orbit_sizes = tuple_partition.quotients[level]
-    return ComponentPartition(level, classification.base_genus == 0, orbit_sizes, orbit_of,
-                              classification)
+    owner, cls = tuple_partition.class_orbit, classification
+    # numbered by least class, so the pointed orbits are first met in their order
+    orbit_of, orbit_sizes = ((owner, tuple(Counter(owner).values())) if level == "pointed" else
+                             _class_orbits(owner, cls.unpointed_of, len(cls.unpointed_first)))
+    return ComponentPartition(level, cls.base_genus == 0, orbit_sizes, orbit_of, cls)

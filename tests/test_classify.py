@@ -13,8 +13,10 @@ from hurwitz import (
     FreeActionViolated,
     HurwitzTuple,
     IntransitiveGroup,
+    InputError,
     InternalInvariantViolation,
     PointOutOfRange,
+    RepeatedPoint,
     are_cover_equivalent,
     are_pointed_equivalent,
     branching_type_of,
@@ -496,6 +498,16 @@ def test_relabel_transports_marked_point(s3):
     from hurwitz import inverse
 
     assert G2.marked_point == inverse(phi)[0]
+
+
+def test_relabel_rejects_a_map_that_is_not_a_bijection(s3):
+    # (0, 0, 1) sends two points to 0 and none to 2; (0, 1, 3) leaves the points
+    t = enumerate_tuples(s3, 0, 3)[0]
+    with pytest.raises(RepeatedPoint):
+        relabel(t, (0, 0, 1), s3)
+    with pytest.raises(PointOutOfRange):
+        relabel(t, (0, 1, 3), s3)
+    assert issubclass(RepeatedPoint, InputError) and issubclass(PointOutOfRange, InputError)
 
 
 # ---------------------------------------------------------------------------

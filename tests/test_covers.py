@@ -238,6 +238,16 @@ def test_coset_model_rejects_non_subgroup(c3):
         coset_model(t, c3, H)
 
 
+def test_coset_model_rejects_a_subset_that_is_not_closed(s3):
+    # {(), (1 2), (1 3)} lies in S3 but (1 2)(1 3) does not lie in it
+    t = enumerate_tuples(s3, 0, 3)[0]
+    H = subgroup_from_elements(3, [identity(3), parse_perm("(1 2)", 3), parse_perm("(1 3)", 3)])
+    with pytest.raises(NotASubgroup):
+        coset_model(t, s3, H)
+    with pytest.raises(NotASubgroup):
+        fiber_genus(t, s3, "coset", H)
+
+
 def test_coset_vs_natural_isomorphism(matrix):
     for G, g, n in matrix:
         H = subgroup_from_elements(G.degree, G.point_stabilizer(0))

@@ -18,6 +18,7 @@ from hurwitz import (
     normalizer_fixing_point,
     parse_perm,
     pointed_class,
+    relabel,
     tuple_from_entries,
     unpointed_class,
     validate_tuple,
@@ -289,7 +290,7 @@ def test_components_rejects_a_partition_of_another_classification(s3):
     at_0 = components(classify_space(s3, 0, 4))
     cls = classify_space(s3.with_marked_point(2), 0, 4)
     assert len(at_0.orbit_of) == len(cls.rows) == 96
-    assert at_0.quotients["pointed"][0] != components(cls, level="pointed").orbit_of
+    assert at_0.class_orbit != components(cls, level="pointed").orbit_of
     for level in ("tuples", "pointed", "unpointed"):
         with pytest.raises(ValueError, match="of this classification"):
             components(cls, level=level, tuple_partition=at_0)
@@ -345,18 +346,21 @@ def test_tuple_orbits_do_not_depend_on_the_marked_point(a5):
 
 def test_conjugation_maps_compose_as_the_normalizer_table(a5):
     # conjugating by n_a after n_b is conjugating by n_a n_b = N.table.mul(a, b),
-    # and rows[i] is the conjugate by n_{conjugator_of[i]} of its class's first row
+    # and the row that row_index gives c |N| + k is the conjugate by n_k of
+    # class c's first listed row, rows[first_row[c]]
     N = normalizer_fixing_point(a5)
     maps = [a5.table.conjugation(s) for s in N.elements]
     for a in range(N.order):
         for b in range(N.order):
             assert maps[N.table.mul(a, b)] == tuple(maps[a][j] for j in maps[b])
     cls = classify_space(a5, 0, 3)
-    base = {}
-    for i, (row, c, k) in enumerate(zip(cls.rows, cls.pointed_of, cls.conjugator_of)):
-        base.setdefault(c, row)
-        assert row == tuple(maps[k][j] for j in base[c])
-        assert cls.rows.index(row) == i
+    assert list(cls.row_index) == list(cls.rows)
+    first = {}
+    for i, (row, v) in enumerate(cls.row_index.items()):
+        c, k = divmod(v, N.order)
+        first.setdefault(c, i)
+        assert row == tuple(maps[k][j] for j in cls.rows[cls.first_row[c]])
+    assert tuple(map(first.__getitem__, range(len(cls.canonicals)))) == cls.first_row
 
 
 def test_unpointed_quotient_is_the_image_of_the_tuple_orbits(matrix, twisted, s3, a5):
@@ -368,7 +372,24 @@ def test_unpointed_quotient_is_the_image_of_the_tuple_orbits(matrix, twisted, s3
         part = components(cls)
         per_row = [cls.unpointed_of[c] for c in cls.pointed_of]
         expected = _class_orbits(part.orbit_of, per_row, len(cls.unpointed))
-        assert part.quotients["unpointed"] == expected, (G, g, n, bt)
+        got = components(cls, level="unpointed", tuple_partition=part)
+        assert (got.orbit_of, got.orbit_sizes) == expected, (G, g, n, bt)
+
+
+def test_pointed_partition_is_the_class_orbits(matrix, twisted, s3, a5):
+    # the pointed partition is read off the class search; the reference maps
+    # every row's tuple orbit to its pointed class
+    phi = list(range(5))
+    random.Random(3).shuffle(phi)
+    _, a5_3 = relabel(enumerate_tuples(a5, 0, 3)[0], tuple(phi), a5)
+    assert a5_3.generators != a5.generators
+    for G, g, n, bt in [(G, g, n, None) for G, g, n in matrix] + twisted + [
+            (s3, 1, 4, None), (a5_3, 0, 3, None)]:
+        cls = classify_space(G, g, n, bt)
+        part = components(cls)
+        expected = _class_orbits(part.orbit_of, cls.pointed_of, len(cls.canonicals))
+        got = components(cls, level="pointed", tuple_partition=part)
+        assert (got.orbit_of, got.orbit_sizes) == expected, (G, g, n, bt)
 
 
 def test_components_cap_error_names_phase_and_progress(a5):
@@ -388,7 +409,8 @@ def test_components_orbit_cap_is_exact_on_split_orbits(a5):
     # orbits lift to 10 tuple orbits
     cls = classify_space(a5, 0, 3)
     part = components(cls)
-    assert len(part.quotients["pointed"][1]) == 6 and len(part.orbit_sizes) == 10
+    pointed = components(cls, level="pointed", tuple_partition=part)
+    assert len(pointed.orbit_sizes) == 6 and len(part.orbit_sizes) == 10
     reached = len(cls.rows) - len(part.orbit_sizes)
     assert components(cls, orbit_cap=reached) == part
     with pytest.raises(OrbitCapExceeded):
