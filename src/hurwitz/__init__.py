@@ -105,6 +105,7 @@ from .jobs import (
     cache_key,
     comparison_payload,
     parse_job,
+    report_chunks,
     report_to_json,
     run_job,
 )

@@ -23,7 +23,7 @@ import os
 import struct
 import warnings
 from array import array
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .errors import InputError
@@ -35,8 +35,8 @@ class CacheCorrupt(Warning):
     """A cache file failed validation and was ignored."""
 
 
-def _encode(header: dict, data: list[int]) -> bytes:
-    payload = array("q", data).tobytes()
+def _encode(header: dict, data: Iterable[int]) -> bytes:
+    payload = array("q", list(data)).tobytes()  # from a list: not extended item by item
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     body = _MAGIC + struct.pack(">I", len(head)) + head + payload
     return body + hashlib.sha256(body).digest()
@@ -107,7 +107,7 @@ class ResultCache:
         self.hits += 1
         return value
 
-    def store(self, key: str, meta: dict, data: list[int]) -> None:
+    def store(self, key: str, meta: dict, data: Iterable[int]) -> None:
         if not self.enabled:
             return
         path = self._path(key)

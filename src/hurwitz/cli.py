@@ -14,7 +14,6 @@ hit, and 4 for internal invariant violations.
 
 from __future__ import annotations
 
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -24,7 +23,7 @@ import click
 from .classify import are_cover_equivalent, are_pointed_equivalent
 from .errors import CapExceeded, InputError, InternalInvariantViolation, SchemaError
 from .jobs import (FORMAT_VERSION, JobSpec, _spec_to_json, build_group, parse_job,
-                   report_to_json, run_job)
+                   report_chunks, run_job)
 from .perms import format_perm, parse_perm
 from .tuples import branching_type_of, tuple_from_entries, validate_tuple
 
@@ -54,13 +53,14 @@ def _load_spec(path: str, cache_dir: str | None,
     )
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(doc: dict, output: str | None) -> None:
+    """Write ``doc``'s text to ``output`` or stdout as ``report_chunks`` makes it."""
     if output is None:
-        click.echo(text, nl=False)
+        sys.stdout.writelines(report_chunks(doc))
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(report_chunks(doc))
     except OSError as exc:
         raise InputError(f"cannot write {output}: {exc}") from exc
 
@@ -82,7 +82,7 @@ def _run_and_emit(path: str, requested: str, cache_dir: str | None,
                   no_cache: bool, output: str | None) -> None:
     with _exit_codes():
         spec = _load_spec(path, cache_dir, no_cache, requested)
-        _emit(report_to_json(run_job(spec)), output)
+        _emit(run_job(spec), output)
 
 
 def common_options(fn):
@@ -134,7 +134,7 @@ def validate(spec_json, cache_dir, no_cache, output):
         spec = _load_spec(spec_json, cache_dir, no_cache, "validate")
         doc = {"format_version": FORMAT_VERSION, "valid": True,
                "spec": _spec_to_json(spec)}
-        _emit(json.dumps(doc, indent=2) + "\n", output)
+        _emit(doc, output)
 
 
 def split_tuple_argument(text: str) -> list[str]:
@@ -210,7 +210,7 @@ def classify(spec_json, cache_dir, no_cache, output, tuples_raw):
                 "witness_unique": None if cover_witness is None else cover_witness.unique,
             },
         }
-        _emit(json.dumps(doc, indent=2) + "\n", output)
+        _emit(doc, output)
 
 
 if __name__ == "__main__":

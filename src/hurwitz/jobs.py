@@ -17,9 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cache import ResultCache
@@ -274,31 +276,17 @@ def _classify_cached_rows(group: PermGroup, base_genus: int, branch_points: int,
     return cls
 
 
-def run_job(spec: JobSpec) -> dict:
-    """Execute one job and assemble the full report document.
-
-    The census, components and classes sections are always all computed;
-    the subcommand only selects how the caller consumes the document.
-    The fiber report is computed once per unpointed class, from its first
-    pointed class, and reused for each of its pointed classes: they are
-    conjugates by N(lam0) T = N_Sym(G), which keeps generation and each
-    branch entry's cycle type.  Each pointed class's canonical is checked
-    to have the report's profiles, so a wrong unpointed merge raises
-    InternalInvariantViolation.
-    """
-    t_start = time.perf_counter()
-    group, type_filter = build_group(spec)
-    cache = ResultCache(spec.cache_dir, spec.use_cache)
-    key = cache_key(spec)
-    stats: dict = {}
-
+def _space_sections(spec: JobSpec, group: PermGroup, type_filter, cache, stats) -> tuple:
+    """The census and components sections, the class columns and the fiber
+    reports; the classification, its row index and partitions die here."""
     space = (group, spec.base_genus, spec.branch_points, type_filter)
+    key = cache_key(spec)
     cls = cache.load(key, partial(_classify_cached_rows, *space))
     index, strings = group.table.index, group.table.strings
     if cls is None:  # no HurwitzTuple outlives the making of its row
         cls = classify_space(*space, rows=pop_rows(
             enumerate_tuples(*space, work_cap=spec.caps.work, stats=stats), index))
-        cache.store(key, {"count": len(cls.rows)}, list(chain.from_iterable(cls.rows)))
+        cache.store(key, {"count": len(cls.rows)}, chain.from_iterable(cls.rows))
 
     # the move orbits are always recomputed: no check of a stored partition
     # costs less than the move search that finds it
@@ -307,65 +295,122 @@ def run_job(spec: JobSpec) -> dict:
                           for level in ("pointed", "unpointed"))
 
     census = cls.census
+    census_json = {"tuples": census.tuple_count, "pointed": census.pointed_count,
+                   "unpointed": census.unpointed_count, "by_type": [
+                       {"type": [[strings[index[rep]], m] for rep, m in row.branching_type.entries],
+                        "tuples": row.tuples, "pointed": row.pointed, "unpointed": row.unpointed}
+                       for row in census.by_type]}
+    components_json = {"exact": tuples.exact, "orbit_sizes": list(tuples.orbit_sizes),
+                       "orbit_sizes_pointed": list(pointed.orbit_sizes),
+                       "orbit_sizes_unpointed": list(unpointed.orbit_sizes)}
     reports = [universal_fiber_report(cls, c) for c in cls.unpointed_first]
-    cycle_types, first = group.table.cycle_types, 2 * spec.base_genus
+    return census_json, components_json, (cls.canonicals, cls.types, cls.unpointed_of, reports)
+
+
+def _class_entries(group: PermGroup, base_genus: int, canonicals, types,
+                   unpointed_of, reports) -> list[dict]:
+    """One entry per pointed class, with its unpointed class's report: being
+    N_Sym(G)-conjugate, its canonical must have the report's cycle types."""
+    strings, cycle_types, first = group.table.strings, group.table.cycle_types, 2 * base_genus
     type_pairs = {key: [(strings[k], key.count(k)) for k in sorted(set(key))]
-                  for key in set(cls.types)}
-    classes_json = []
-    for c, (row, branch) in enumerate(zip(cls.canonicals, cls.types)):
-        report = reports[cls.unpointed_of[c]]
+                  for key in set(types)}
+    entries = []
+    for c, (row, branch, u) in enumerate(zip(canonicals, types, unpointed_of)):
+        report = reports[u]
         if tuple(map(cycle_types.__getitem__, row[first:])) != report.profiles:
             raise InternalInvariantViolation(
                 f"pointed class {c} and its unpointed class differ in branch cycle types")
-        classes_json.append(
-            {
-                "canonical": [strings[j] for j in row],
-                "type": [list(p) for p in type_pairs[branch]],
-                "profiles": [list(p) for p in report.profiles],
-                "genus_induced": report.genus,
-                "genus_galois": report.galois_genus,
-            }
-        )
+        entries.append({"canonical": [strings[j] for j in row],
+                        "type": [list(p) for p in type_pairs[branch]],
+                        "profiles": [list(p) for p in report.profiles],
+                        "genus_induced": report.genus, "genus_galois": report.galois_genus})
+    return entries
 
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "spec": _spec_to_json(spec),
-        "census": {
-            "tuples": census.tuple_count,
-            "pointed": census.pointed_count,
-            "unpointed": census.unpointed_count,
-            "by_type": [
-                {
-                    "type": [[strings[index[rep]], m] for rep, m in row.branching_type.entries],
-                    "tuples": row.tuples,
-                    "pointed": row.pointed,
-                    "unpointed": row.unpointed,
-                }
-                for row in census.by_type
-            ],
-        },
-        "components": {
-            "exact": tuples.exact,
-            "orbit_sizes": list(tuples.orbit_sizes),
-            "orbit_sizes_pointed": list(pointed.orbit_sizes),
-            "orbit_sizes_unpointed": list(unpointed.orbit_sizes),
-        },
-        "classes": classes_json,
-        "meta": {
-            "version": __version__,
-            "elapsed_s": round(time.perf_counter() - t_start, 6),
-            "work_nodes": stats.get("nodes"),
-            "leaves": stats.get("leaves"),
-            "join_memo": stats.get("join_memo"),
-            "cache": {"hits": cache.hits, "misses": cache.misses},
-        },
-    }
-    return doc
+
+def run_job(spec: JobSpec) -> dict:
+    """Execute one job and assemble the full report document.
+
+    The census, components and classes sections are always all computed;
+    the subcommand only selects how the caller consumes the document.  The
+    fiber report is computed once per unpointed class, from its first
+    pointed class, and reused for each of its pointed classes.
+    """
+    t_start = time.perf_counter()
+    group, type_filter = build_group(spec)
+    cache = ResultCache(spec.cache_dir, spec.use_cache)
+    stats: dict = {}
+    census, components_json, columns = _space_sections(spec, group, type_filter, cache, stats)
+    return {"format_version": FORMAT_VERSION, "spec": _spec_to_json(spec),
+            "census": census, "components": components_json,
+            "classes": _class_entries(group, spec.base_genus, *columns),
+            "meta": {"version": __version__,
+                     "elapsed_s": round(time.perf_counter() - t_start, 6),
+                     "work_nodes": stats.get("nodes"), "leaves": stats.get("leaves"),
+                     "join_memo": stats.get("join_memo"),
+                     "cache": {"hits": cache.hits, "misses": cache.misses}}}
+
+
+# a class entry's keys in run_job's order; _PAD starts a line at their depth
+_ENTRY, _PAD = ("canonical", "type", "profiles", "genus_induced", "genus_galois"), "\n      "
+
+
+def _text(value, pad: str = _PAD) -> str:
+    """A nest of lists (or tuples) of exact int and str leaves as
+    ``json.dumps(indent=2)`` writes it on a line that starts with ``pad``."""
+    if type(value) in (int, str):
+        return encode_basestring_ascii(value) if type(value) is str else repr(value)
+    inner = pad + "  "
+    items = ("," + inner).join([_text(v, inner) for v in value])
+    return "[" + inner + items + pad + "]" if value else "[]"
+
+
+def _class_tails(doc: dict) -> tuple | None:
+    """The canonicals of ``doc``'s classes, each entry's index among the
+    distinct tails (type, profiles, both genera) and each tail's text; None
+    unless ``classes`` lists entries with ``_ENTRY``'s keys in order, str
+    canonicals and lists of lists of exact int and str leaves only."""
+    classes = doc.get("classes") if type(doc) is dict else None
+    if (type(classes) is not list or {*map(type, classes)} != {dict}
+            or {*map(tuple, classes)} != {_ENTRY}):
+        return None
+    canonicals, kinds, profiles, induced, galois = zip(*map(dict.values, classes))
+    flat = chain.from_iterable
+    rows = (*flat(kinds), *flat(profiles))
+    if not ({*map(type, chain(canonicals, kinds, profiles, rows))} <= {list}
+            and {*map(type, flat(canonicals))} <= {str}
+            and {*map(type, chain(flat(rows), induced, galois))} <= {int, str}):
+        return None
+    frozen, memo = partial(map, tuple), {}
+    tail_of = [memo.setdefault(tail, len(memo)) for tail in zip(
+        map(tuple, map(frozen, kinds)), map(tuple, map(frozen, profiles)), induced, galois)]
+    return canonicals, tail_of, ["".join([f",{_PAD}{encode_basestring_ascii(k)}: {_text(v)}"
+                                          for k, v in zip(_ENTRY[1:], tail)]) for tail in memo]
+
+
+def report_chunks(doc: dict) -> Iterator[str]:
+    """``json.dumps(doc, indent=2, ensure_ascii=True)`` plus a newline, in
+    pieces: the document up to its ``classes`` and the rest, both from
+    ``json.dumps``, and one piece per class entry between them.  Unless
+    ``classes`` is a non-empty list of ``run_job``-shaped entries, ``doc`` is dumped whole."""
+    found = _class_tails(doc)
+    if found is None:
+        yield json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+        return
+    canonicals, tail_of, tails = found
+    # no encoded string holds a newline: only the top-level key matches
+    text = json.dumps({**doc, "classes": []}, indent=2, ensure_ascii=True)
+    cut = text.index('\n  "classes": []') + len('\n  "classes": [')
+    yield text[:cut]
+    opening, inner = "\n    {" + _PAD + '"canonical": ', _PAD + "  "
+    for k, (row, t) in enumerate(zip(canonicals, tail_of)):
+        listed = "[" + inner + ("," + inner).join(map(encode_basestring_ascii, row)) + _PAD + "]"
+        yield ("," if k else "") + opening + (listed if row else "[]") + tails[t] + "\n    }"
+    yield "\n  " + text[cut:] + "\n"
 
 
 def report_to_json(doc: dict) -> str:
     """Canonical serialization: fixed key order, two-space indent, newline."""
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    return "".join(report_chunks(doc))
 
 
 def comparison_payload(doc: dict) -> str:
