@@ -369,10 +369,11 @@ def classify_space(
         if row_index[row] >= 0:
             continue
         orbit, base = action.orbit(row), len(found) * n
-        for k, member in enumerate(orbit):
-            if member in row_index:
-                row_index[member] = base + k
+        row_index.update(zip(orbit, range(base, base + n)))
         found.append((min(orbit), i))
+    # the unlisted conjugates a twisted type filter lets in were inserted after every row
+    for _ in range(len(row_index) - len(rows)):
+        row_index.popitem()
     # under a type filter every listed row has its type exactly when each class's
     # first listed row has it and every conjugator lies in the type's stabilizer
     stab = range(n) if fil is None else {k for k, t in enumerate(action.twists(fil)) if t == fil}

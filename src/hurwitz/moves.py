@@ -171,13 +171,20 @@ def _tuple_partition(cls: SpaceClassification, orbit_cap: int) -> ComponentParti
     lift: list = [None] * count  # per class c and each k, the orbit label of n_k base_c
     sizes: list[int] = []  # per class orbit, the size |C| |H| of each tuple orbit over it
     reached = 0
+    mul, inv, size = table.mul, table.inverses, table.size
+    moved: dict[int, int] = {}  # a |G| + b -> the index of a b a^-1
     for root in range(count):  # seeded at the root's first listed row, so w_root = 1
         if owner[root] >= 0:
             continue
         orbit, stab, reps = len(sizes), 1, [(root, rows[cls.first_row[root]])]
         owner[root] = orbit
         for _, rep in reps:  # grows while it is walked
-            for y in _moved(table, rep, first):
+            for i in range(first, len(rep) - 1):  # the forward move (a, b) -> (a b a^-1, a)
+                a, b = rep[i], rep[i + 1]
+                x = moved.get(a * size + b)
+                if x is None:
+                    x = moved[a * size + b] = mul(mul(a, b), inv[a])
+                y = rep[:i] + (x, a) + rep[i + 2:]
                 d, k = divmod(row_index.get(y, -1), n)  # an unlisted row gives d = -1
                 if d < 0 or owner[d] not in (-1, orbit):
                     raise InternalInvariantViolation("orbit escaped the enumerated space")

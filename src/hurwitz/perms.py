@@ -543,7 +543,11 @@ def _normalizer_search(G: PermGroup, lam: int | None, *, centralizing: bool = Fa
     not yet reached from its least point.  For each generator g a node keeps
     the h in G with h[s[j]] = s[g[j]] where s is defined; a branch dies once
     one list is empty.  A point g[q] after the first of its orbit has q
-    earlier, so its image is some h[s[q]].  Every leaf normalizes G, as
+    earlier, so its image is some h[s[q]].  Once every list holds one h_g,
+    each point up to the next orbit root is forced, s[g[q]] = h_g[s[q]]: one
+    loop fills those levels, checking each image against the used points and
+    every generator's checks, then emits the leaf, drops the branch, or goes
+    on branching at the orbit root.  Every leaf normalizes G, as
     s^-1 G s <= G forces equality.  The leaves fixing the root come first
     and |N| >= |N(root)| * |root^G|, so the order cap is checked on that.
     ``centralizing`` seeds each generator's list with g alone, which leaves the
@@ -555,21 +559,54 @@ def _normalizer_search(G: PermGroup, lam: int | None, *, centralizing: bool = Fa
         return G._cache[key]  # type: ignore[return-value]
     d, root = G.degree, 0 if lam is None else lam
     gens = [(g, inverse(g)) for g in G.generators]
-    order = [root]
-    for p in order:  # grows while it is walked
-        order += [q for q in dict.fromkeys(g[p] for g, _ in gens) if q not in order]
+    # order[k] gets the k-th image; via[k] = (generator, q) with order[k] = g[order[q]],
+    # or None at an orbit root (the root, then the least point of each orbit not reached)
+    order, via = [root], [None]
+    for q, p in enumerate(order):  # grows while it is walked
+        for gi, (g, _) in enumerate(gens):
+            if g[p] not in order:
+                order.append(g[p])
+                via.append((gi, q))
         if p == order[-1] and len(order) < d:  # an orbit is closed
             order.append(min(set(range(d)).difference(order)))
+            via.append(None)
+    via.append(None)  # level d ends every forced run
     pos = inverse(order)
     # per level and generator: the positions of g^-1[p] and g[p] if they have images by then
     checks = [[(pos[ginv[p]] if pos[ginv[p]] < k else -1, pos[g[p]] if pos[g[p]] <= k else -1)
                for g, ginv in gens] for k, p in enumerate(order)]
+    # per level, the same checks as (generator, i, j) with h_g[s[order[i]]] == s[order[j]],
+    # less the one a forced image passes by construction
+    tests = [[(x, i, k) for x, (i, _) in enumerate(level) if i >= 0 and via[k] != (x, i)]
+             + [(x, k, j) for x, (_, j) in enumerate(level) if j >= 0]
+             for k, level in enumerate(checks)]
     orbit = len({h[root] for h in G.elements})
     members: list[Perm] = []
     stack = [((), [[g] if centralizing else G.elements for g, _ in gens])]
     while stack:
         t, agreeing = stack.pop()  # t[k] is the image of order[k]
         k = len(t)
+        if via[k] and max(map(len, agreeing)) == 1:
+            # each list holds one h_g, so every point up to the next orbit root is
+            # forced, s[g[q]] = h_g[s[q]]; one pass fills and checks those levels
+            hs, u, used = [h for h, in agreeing], list(t), set(t)
+            while via[k]:
+                gi, q = via[k]
+                a = hs[gi][u[q]]
+                u.append(a)
+                if a in used:
+                    break
+                for x, i, j in tests[k]:
+                    if hs[x][u[i]] != u[j]:
+                        break
+                else:
+                    used.add(a)
+                    k += 1
+                    continue
+                break
+            if len(u) > k:  # the image of level k failed
+                continue
+            t = tuple(u)
         if k == d:
             members.append(tuple(map(t.__getitem__, pos)))
             if len(members) * (orbit if t[0] == root else 1) > DEFAULT_ORDER_CAP:

@@ -14,6 +14,7 @@ the n branch points.  It is a valid point of the space when
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import DegreeMismatch, WorkCapExceeded
 from .perms import (
@@ -196,16 +197,20 @@ def enumerate_tuples(
     when its mask is ``G.table.full``, and the pair closures start from one
     cyclic subgroup per conjugacy class.  At a branch slot the product is
     read off the Cayley row of the node's product (``row``); handle slots
-    extend it by ``mul``.  When the last free slot is a branch slot, it
-    reads that row once and tests each candidate inline: the solved last
-    entry must not be the identity and must fit the filter's budget, and
-    the mask must be full.  The last entry is a word in the free ones, so
-    it never changes the mask.  A type filter is a budget of branch entries
-    per class index, read from its ``key``: any member names its class,
-    and a representative outside G raises DegreeMismatch.  The work cap
-    counts visited search-tree nodes (candidate entry assignments) and is
-    checked at every visit; the a-priori bound |G|^(2g+n-1) is checked up
-    front.
+    extend it by ``mul``.  When the last free slot is a branch slot, every
+    candidate is a leaf, decided in one step per node: a table local to the
+    call holds, per mask, ``good[x] = join(mask, x) == full``, filled once
+    per (mask, class with entries left), and the node keeps the candidates
+    whose frame image is good, less those whose solved last entry is the
+    identity or breaks the filter's budget.  The last entry is a word in the
+    free ones, so it never changes the mask.  A type filter is a budget of
+    branch entries per class index, read from its ``key``: any member names
+    its class, and a representative outside G raises DegreeMismatch.  The
+    work cap counts visited search-tree nodes (candidate entry assignments)
+    and is checked at every visit; the last free slot's node adds its
+    candidate count, kept up to date where the branch slots change the
+    budget, and past the cap stops at the same candidate a one-by-one count
+    would.  The a-priori bound |G|^(2g+n-1) is checked up front.
     ``stats`` receives the visited node count (``"nodes"``), the number
     of leaves reached (``"leaves"``) and the number of memoized joins of
     the group's table (``"join_memo"``).
@@ -232,16 +237,30 @@ def enumerate_tuples(
     mul, inv, join, classes, frames, row, elements, full = (
         table.mul, table.inverses, table.join, table.classes, table.frames, table.row,
         table.elements, table.full)
+    members: dict[int, list[int]] = {}  # class index -> its non-identity members
+    for j in range(1, table.size):
+        members.setdefault(classes[j], []).append(j)
     # branch entries still allowed, by class index; a class absent from
     # the filter gets none, and without a filter no class runs out
     left = ([branch_count] * table.size if key is None
             else [key.count(c) for c in range(table.size)])
+    # the classes with entries left, as a bitmask, and the number of elements they
+    # hold, a branch slot's candidates; both change only where ``left`` reaches 0
+    allowed = sum(1 << c for c in members if left[c])
+    width = sum(len(members[c]) for c in members if left[c])
     # the depth of the last free slot when it is a branch slot, else none
     inline = free - 1 if branch_count > 1 else -1
+    # per mask met at that slot: good[x] is join(mask, x) == full, filled per
+    # class with entries left (the identity stays False), and the classes filled
+    goods: dict[int, list] = {}
     out: list[HurwitzTuple] = []
     chosen: list[int] = []
     nodes = 0
     leaves = 0
+
+    def cap_error(visited: int) -> WorkCapExceeded:
+        return WorkCapExceeded(f"enumeration: {visited} visited nodes exceed work cap "
+                               f"{work_cap}; {len(out)} tuples kept so far")
 
     def frame(h: int) -> list[int]:
         # entry j is the index of h^-1 * j * h: with r the row of h^-1,
@@ -255,7 +274,7 @@ def enumerate_tuples(
         # the subgroup the committed entries generate in the first entry's
         # frame and ``conj`` maps an entry into that frame (``classes`` at
         # the root, where each first entry is joined as its class minimum)
-        nonlocal nodes, leaves
+        nonlocal nodes, leaves, allowed, width
         if depth == free:  # the last free slot was a handle slot
             leaves += 1
             last = inv[run]
@@ -270,35 +289,51 @@ def enumerate_tuples(
             a = chosen[-1]
             run_a, a_inv = mul(run, a), inv[a]
         if depth == inline:
+            # every candidate is a leaf: keep the j whose frame image completes the
+            # mask, then test the solved last entry; conjugation keeps classes
+            entry = goods.get(mask) or goods.setdefault(mask, [[False] * table.size, 0])
+            good, filled = entry
+            missing = allowed & ~filled
+            if missing:
+                for c, xs in members.items():
+                    if missing >> c & 1:
+                        for y in map(conj.__getitem__, xs):
+                            good[y] = join(mask, y) == full
+                entry[1] = filled | missing
+            stop = table.size
+            if nodes + width > work_cap:  # the candidate past the cap, in order
+                stop = [j for j in range(1, table.size) if left[classes[j]]][work_cap - nodes]
             head = tuple([elements[k] for k in chosen])
-            for j in range(1, table.size):
-                c = classes[j]
-                if not left[c]:
-                    continue
-                nodes += 1
-                if nodes > work_cap:
-                    raise WorkCapExceeded(f"enumeration: {nodes} visited nodes exceed work cap "
-                                          f"{work_cap}; {len(out)} tuples kept so far")
-                leaves += 1
+            for j in compress(range(stop), map(good.__getitem__, conj)):
                 last = inv[r[j]]
-                k = classes[last]
-                if last and left[k] > (k == c) and join(mask, conj[j]) == full:
+                c, k = classes[j], classes[last]
+                if last and left[c] and left[k] > (k == c):
                     out.append(HurwitzTuple(head + (elements[j], elements[last]), base_genus))
+            if stop < table.size:
+                raise cap_error(work_cap + 1)
+            nodes += width
+            leaves += width
             return
         for j in range(1 if is_branch else 0, table.size):  # index 0 is the identity
             if is_branch and not left[classes[j]]:
                 continue
             nodes += 1
             if nodes > work_cap:
-                raise WorkCapExceeded(f"enumeration: {nodes} visited nodes exceed work cap "
-                                      f"{work_cap}; {len(out)} tuples kept so far")
+                raise cap_error(nodes)
             chosen.append(j)
             sub = join(mask, conj[j])
             below = conj if depth else frame(frames[j])
             if is_branch:
-                left[classes[j]] -= 1
+                c = classes[j]
+                left[c] -= 1
+                if not left[c]:
+                    allowed ^= 1 << c
+                    width -= len(members[c])
                 walk(depth + 1, r[j], sub, below)
-                left[classes[j]] += 1
+                if not left[c]:
+                    allowed ^= 1 << c
+                    width += len(members[c])
+                left[c] += 1
             elif depth % 2 == 1:
                 walk(depth + 1, mul(mul(mul(run_a, j), a_inv), inv[j]), sub, below)
             else:

@@ -418,6 +418,11 @@ def _oracle_cases(c2, s3, c3, v4):
         generate_group([parse_perm("(1 3 2 4)", 4)]),
         generate_group([parse_perm("(1 2 3 4 5)", 5), parse_perm("(1 2 3)", 5)]),
         generate_group([], degree=3),
+        # intransitive, so a run of forced levels (every agreeing list down to one
+        # element) ends at an orbit root and the search branches again there: in the
+        # centralizer search of the first, in every search of the second
+        generate_group([parse_perm("(1 2 3)", 6), parse_perm("(4 5 6)", 6)]),
+        generate_group([parse_perm("(1 2)(3 4)", 5)]),
     ]
     return [
         (c2, o.C2_ON_2),

@@ -172,11 +172,23 @@ def test_enumeration_node_and_leaf_counts_are_pinned():
     a5 = generate_group([parse_perm("(1 2 3 4 5)", 5), parse_perm("(1 2 3)", 5)])
     s3 = generate_group([parse_perm("(1 2 3)", 3), parse_perm("(1 2)", 3)])
     s4 = generate_group([parse_perm("(1 2 3 4)", 4), parse_perm("(1 2)", 4)])
-    for G, g, n, counts in [(a5, 0, 3, (3540, 3481)), (s3, 1, 4, (5622, 4500)),
-                            (s4, 0, 4, (12719, 12167))]:
+    def bt(*pairs):
+        return make_branching_type(s4, [(parse_perm(e, 4), m) for e, m in pairs])
+    # g0 n2 decides its one free slot at the root, by class minima; the last two
+    # spend a class's budget before the last free slot.  Under the last type the
+    # per-mask table also joins members whose solved last entry breaks the budget,
+    # 113 joins where a candidate-by-candidate test made 57
+    for G, g, n, f, counts in [(a5, 0, 3, None, (3540, 3481, 284)),
+                               (s3, 1, 4, None, (5622, 4500, 20)),
+                               (s4, 0, 4, None, (12719, 12167, 264)),
+                               (s4, 0, 2, None, (23, 23, 6)),
+                               (s4, 1, 2, bt(("(1 2 3)", 2)), (5208, 4608, 250)),
+                               (s4, 0, 4, bt(("(1 2)", 2), ("(1 2 3)", 2)), (2226, 2016, 71)),
+                               (s4, 0, 4, bt(("(1 2)", 1), ("(1 2 3)", 2), ("(1 2)(3 4)", 1)),
+                                (2853, 2592, 113))]:
         stats = {}
-        enumerate_tuples(G, g, n, stats=stats)
-        assert (stats["nodes"], stats["leaves"]) == counts
+        enumerate_tuples(generate_group(G.generators), g, n, f, stats=stats)
+        assert (stats["nodes"], stats["leaves"], stats["join_memo"]) == counts
 
 
 def test_enumeration_counts_nodes(s3):
@@ -203,6 +215,28 @@ def test_work_cap_bounds_visited_nodes(s3, c2):
         assert enumerate_tuples(G, g, n, work_cap=nodes) == expected
         with pytest.raises(WorkCapExceeded):
             enumerate_tuples(G, g, n, work_cap=nodes - 1)
+
+
+def test_work_cap_bounds_visited_nodes_under_a_type_filter(s3, c3):
+    # the last free slot adds its candidates to the count at once; past the cap
+    # it must still stop at the same candidate, with the tuples kept before it.
+    # These types leave almost no class out, so the count exceeds the up-front
+    # bound |G|^(2g+n-1).  On S4 g1 n2 under [(1 2 3), 2] (5,208 nodes against 24^3)
+    # or on the ``twisted`` spaces the bound trips first, at the node count too
+    for G, pairs, nodes, kept, trips in [
+        (c3, [("(1 2 3)", 1), ("(1 3 2)", 1)], 30, 18, [(29, 17), (28, 16)]),
+        (s3, [("(1 2)", 1), ("(1 2 3)", 1)], 222, 0, [(221, 0)]),
+    ]:
+        bt = make_branching_type(G, [(parse_perm(e, 3), m) for e, m in pairs])
+        stats = {}
+        expected = enumerate_tuples(G, 1, 2, bt, stats=stats)
+        assert (len(expected), stats["nodes"]) == (kept, nodes)
+        assert enumerate_tuples(G, 1, 2, bt, work_cap=nodes) == expected
+        for cap, so_far in trips:
+            with pytest.raises(WorkCapExceeded, match=rf"^enumeration: {cap + 1} visited nodes "
+                                                      rf"exceed work cap {cap}; {so_far} tuples "
+                                                      rf"kept so far$"):
+                enumerate_tuples(G, 1, 2, bt, work_cap=cap)
 
 
 def test_work_cap_errors_name_phase_and_progress(s3):
